@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,15 +148,16 @@ inline BenchOptions parse_options(int argc, char** argv, const std::string& defa
                                            "comma-separated processor counts");
   opt.warmup = static_cast<int>(cli.get_int("warmup", 1, "warm-up steps (untimed)"));
   opt.measured = static_cast<int>(cli.get_int("steps", 2, "measured time-steps"));
-  const std::string backend =
-      cli.get_string("backend", to_string(default_sim_backend()),
-                     "scheduler backend: fibers | threads | parallel");
-  if (backend != "fibers" && backend != "threads" && backend != "parallel") {
-    std::fprintf(stderr, "bad --backend: %s (want fibers | threads | parallel)\n",
-                 backend.c_str());
+  const std::string backend_names = sim_backend_names_joined();
+  const std::string backend = cli.get_string("backend", to_string(default_sim_backend()),
+                                             "scheduler backend: " + backend_names);
+  const std::optional<SimBackend> parsed = parse_sim_backend(backend);
+  if (!parsed) {
+    std::fprintf(stderr, "bad --backend: %s (want %s)\n", backend.c_str(),
+                 backend_names.c_str());
     std::exit(2);
   }
-  opt.backend = sim_backend_from_string(backend);
+  opt.backend = *parsed;
   opt.workers = static_cast<int>(
       cli.get_int("workers", 0, "host workers for --backend=parallel (0 = auto)"));
   opt.race = cli.get_bool("race", false,

@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
                 speedup_kernel);
     std::printf("  kernel+parallel%8.3fs   %5.2fx vs kernel+fibers, %5.2fx combined\n",
                 kern_par.host_seconds, speedup_parallel, speedup_combined);
-    std::printf("  virtual results %s\n", identical ? "identical" : "DIVERGED");
+    std::printf("  virtual_results_identical: %s\n", identical ? "yes" : "no");
     struct Row {
       const char* path;
       const char* backend;

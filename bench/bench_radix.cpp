@@ -7,10 +7,10 @@
 // regression metric. Part 2 prints the anatomy waterfalls that ATTRIBUTE the
 // SPACE-vs-RADIX difference, one 1998 config and one 2020s config. Part 3 is
 // the identity license + honest host numbers: RADIX's virtual results must
-// be bit-identical across the fiber/thread/parallel backends (its sort
-// phases are unordered sections, so kParallel genuinely overlaps them on
-// host threads), and the measured host-side wall time of the parallel
-// backend under --workers is reported as-is.
+// be bit-identical across the fiber and parallel backends (its sort phases
+// are unordered sections, so kParallel genuinely overlaps them on host
+// threads), and the measured host-side wall time of the parallel backend
+// under --workers is reported as-is.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Part 3: backend identity + honest host time --------------------------
-  // RADIX on the two eras' flagship machines across all three backends. Any
+  // RADIX on the two eras' flagship machines across both backends. Any
   // divergence fails the bench (and the regression gate reads the row).
   bool identical = true;
   std::printf("\nbackend identity + host wall time (RADIX, %d reps best):\n", reps);
@@ -186,8 +186,7 @@ int main(int argc, char** argv) {
     RadixBuilder builder(st);
     const RunConfig rc{/*warmup_steps=*/0, /*measured_steps=*/1};
     RunResult ref_run;
-    for (const SimBackend backend :
-         {SimBackend::kFibers, SimBackend::kThreads, SimBackend::kParallel}) {
+    for (const SimBackend backend : kSimBackends) {
       double best_s = 0.0;
       RunResult run;
       for (int rep = 0; rep < reps; ++rep) {
@@ -215,7 +214,7 @@ int main(int argc, char** argv) {
           .field("host_seconds", best_s);
     }
   }
-  std::printf("backends: virtual results %s\n", identical ? "identical" : "DIVERGED");
+  std::printf("virtual_results_identical: %s\n", identical ? "yes" : "no");
   json.row()
       .field("bench", std::string("radix_summary"))
       .field("procs", static_cast<std::int64_t>(np))

@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "anatomy/sweep.hpp"
 #include "harness/experiment.hpp"
@@ -47,15 +49,17 @@ int main(int argc, char** argv) {
   spec.bh.partitioner = cli.get_string("partitioner", "costzones", "costzones|orb") == "orb"
                             ? Partitioner::kOrb
                             : Partitioner::kCostzones;
+  const std::string backend_names = sim_backend_names_joined();
   const std::string backend =
       cli.get_string("backend", to_string(default_sim_backend()),
-                     "scheduler backend: fibers|threads|parallel (or PTB_SIM_BACKEND)");
-  if (backend != "fibers" && backend != "threads" && backend != "parallel") {
-    std::fprintf(stderr, "ptbsim: bad --backend '%s' (want fibers|threads|parallel)\n",
-                 backend.c_str());
+                     "scheduler backend: " + backend_names + " (or PTB_SIM_BACKEND)");
+  const std::optional<SimBackend> parsed = parse_sim_backend(backend);
+  if (!parsed) {
+    std::fprintf(stderr, "ptbsim: bad --backend '%s' (want %s)\n", backend.c_str(),
+                 backend_names.c_str());
     return 2;
   }
-  spec.backend = sim_backend_from_string(backend);
+  spec.backend = *parsed;
   spec.sim_workers = static_cast<int>(cli.get_int(
       "workers", 0, "host workers for --backend=parallel (0 = auto / PTB_SIM_WORKERS)"));
   spec.race = cli.get_bool("race", false,
@@ -88,7 +92,9 @@ int main(int argc, char** argv) {
       "  PTB_SIGHT_WINDOW_NS=<n> (no flag)        false-sharing invalidation window override\n"
       "  PTB_MEM_SLOWPATH=1      (no flag)        force the memory model's virtual-dispatch path\n"
       "  PTB_FORCE_SLOWPATH=1    (no flag)        force the scalar force-interaction path\n"
-      "  PTB_SIM_BACKEND=<name>  --backend        scheduler backend (fibers|threads|parallel)\n"
+      "  PTB_SIM_BACKEND=<name>  --backend        scheduler backend (" +
+      backend_names +
+      ")\n"
       "  PTB_SIM_WORKERS=<n>     --workers        host worker threads for --backend=parallel\n"
       "\n"
       "Exit codes: 0 = run completed (observers may have written reports);\n"

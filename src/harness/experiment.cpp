@@ -24,8 +24,7 @@ std::string baseline_key(const ExperimentSpec& spec) {
   std::ostringstream os;
   os << spec.platform << '/' << bh.n << '/' << bh.theta << '/' << bh.leaf_cap << '/'
      << bh.seed << '/' << spec.warmup_steps << '/' << spec.measured_steps << '/'
-     << static_cast<int>(bh.partitioner) << '/' << bh.lock_buckets << '/'
-     << to_string(spec.backend);
+     << static_cast<int>(bh.partitioner) << '/' << bh.lock_buckets;
   return os.str();
 }
 
@@ -93,7 +92,10 @@ ExperimentRunner::Baseline ExperimentRunner::baseline(const ExperimentSpec& spec
 
   const PlatformSpec platform = sequential_variant(PlatformSpec::by_name(spec.platform));
   AppState st = make_app_state(effective_bh(spec), 1);
-  SimContext ctx(platform, 1, spec.backend);
+  // Virtual results are identical across backends, so the one-processor
+  // baseline always runs on fibers: no worker pool for a single processor,
+  // and one cache entry however many backends a sweep mixes.
+  SimContext ctx(platform, 1, SimBackend::kFibers);
   SeqBuilder builder(st);
   const RunConfig rc{spec.warmup_steps, spec.measured_steps};
   const RunResult res = run_simulation(ctx, st, builder, rc);

@@ -27,11 +27,12 @@ struct ExperimentSpec {
   int nprocs = 16;
   int warmup_steps = 2;
   int measured_steps = 2;
-  /// Scheduler backend of the simulator (fibers by default; threads and
-  /// parallel are cross-check backends — all produce bit-identical results).
+  /// Scheduler backend of the parallel run (fibers by default; parallel
+  /// overlaps unordered sections on host workers). Both produce bit-identical
+  /// results, so the p=1 baseline always runs on fibers.
   SimBackend backend = default_sim_backend();
   /// Host worker threads for SimBackend::kParallel's unordered-section pool
-  /// (0 = default_sim_workers(); ignored by the other backends).
+  /// (0 = default_sim_workers(); ignored by kFibers).
   int sim_workers = 0;
   /// Optional event tracer attached to the parallel run (never the
   /// sequential baseline). Must outlive the run; null = tracing off.
@@ -114,7 +115,8 @@ void ingest_run_metrics(trace::MetricsRegistry& reg, const std::vector<ProcStats
 WaitSummary wait_summary(const Distribution& d);
 
 /// Runs experiments, caching the sequential baselines per (platform, BH
-/// parameters) so that sweeps over the five algorithms share one baseline.
+/// parameters, steps) so that sweeps over the builders — and over backends —
+/// share one baseline.
 class ExperimentRunner {
  public:
   ExperimentResult run(const ExperimentSpec& spec);

@@ -124,9 +124,10 @@ class InvalidationModel final : public MemModel {
   /// the spot (CacheModel::mark_stale), so every read probe skips the shared
   /// per-block epoch load. Provably the same hits/misses/LRU decisions as
   /// the lazy scheme — "entry valid" and "fill epoch == current epoch" are
-  /// equivalent by induction over the bump sites (docs/PERF.md). The threads
-  /// backend stays lazy: there, unordered stretches overlap in host time and
-  /// a sweep would race with the owning processor's probes.
+  /// equivalent by induction over the bump sites (docs/PERF.md). kParallel
+  /// stays lazy: there, unordered sections overlap in host time and a sweep
+  /// would race with the owning processor's probes. So does the
+  /// PTB_MEM_SLOWPATH oracle, which re-checks the equivalence end to end.
   void set_serialized(bool s) override { serialized_ = s; }
 
   /// Test hook: coherence state of a block resolved from an address.

@@ -9,11 +9,12 @@
 // per-processor pools) emerge from the genuine address stream.
 //
 // Thread-safety contract: on_read/on_write/on_rmw/on_acquire/on_release/
-// on_barrier are called under the simulator's global ordering lock (one call
+// on_barrier are called from the simulator's one scheduler thread (one call
 // at a time, in virtual-time order). on_read_shared is the force-phase fast
-// path: it may be called concurrently from all processors, but only during
-// phases in which no ordered writes to the same regions occur; models must
-// restrict themselves to per-processor state plus commutative atomics there.
+// path: under SimBackend::kParallel it may be called concurrently from all
+// processors' unordered sections, but only during phases in which no ordered
+// writes to the same regions occur; models must restrict themselves to
+// per-processor state plus commutative atomics there.
 #pragma once
 
 #include <cstdint>
@@ -116,7 +117,7 @@ class MemModel {
   /// Drops all regions and protocol state (between experiment runs).
   virtual void reset();
 
-  // --- ordered operations (called under the global ordering lock) ---
+  // --- ordered operations (scheduler thread, virtual-time order) ---
   virtual std::uint64_t on_read(int proc, const void* p, std::size_t n,
                                 std::uint64_t now) = 0;
   virtual std::uint64_t on_write(int proc, const void* p, std::size_t n,
@@ -179,8 +180,9 @@ class MemModel {
   /// Execution-serialization promise from the simulator: under the fiber
   /// backend an unordered stretch is host-atomic, which licenses the
   /// eager-invalidation cache mode (see CacheModel::touch_nv). Default off:
-  /// the threads backend overlaps unordered stretches, where sweeping other
-  /// processors' cache entries would race with their probes.
+  /// kParallel overlaps unordered sections on host workers, where sweeping
+  /// other processors' cache entries would race with their probes, and the
+  /// PTB_MEM_SLOWPATH oracle keeps the lazy scheme as the reference.
   virtual void set_serialized(bool) {}
 
   virtual MemModelKind kind() const { return MemModelKind::kOther; }

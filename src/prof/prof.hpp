@@ -115,7 +115,7 @@ struct Capture {
 
 /// Captures the dependency structure of one SimContext::run. Attach with
 /// SimContext::set_profiler before run(); the simulator drives the hooks
-/// below in virtual-time order (under its ordering section), so the recorder
+/// below in virtual-time order (on its scheduler thread), so the recorder
 /// needs no synchronization of its own and never perturbs the execution.
 class Recorder {
  public:

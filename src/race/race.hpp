@@ -13,7 +13,7 @@
 // It plugs into the simulator as a MemModel decorator (RaceModel wraps the
 // platform's protocol model), driven by the hooks that already exist —
 // on_read/on_write/on_rmw/on_acquire/on_release/on_barrier_* — all of which
-// the simulator calls under its global ordering lock in virtual-time order,
+// the simulator calls from its one scheduler thread in virtual-time order,
 // so the detector needs no synchronization of its own and every run is
 // deterministic. Opt-in via --race / PTB_RACE; when disabled the raw
 // protocol model is installed and the only residual cost is the no-op
@@ -195,7 +195,7 @@ class RaceDetector {
   /// the caller's and survive).
   void reset();
 
-  // Called in virtual-time order (under the simulator's ordering lock).
+  // Called in virtual-time order (on the simulator's scheduler thread).
   // Each returns the number of *new* distinct races recorded (0 almost
   // always), so the caller can emit trace instants without re-diffing.
   int on_plain(int proc, const void* p, std::size_t n, bool is_write, std::uint64_t now);

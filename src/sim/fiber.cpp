@@ -119,7 +119,11 @@ ptb_fiber_boot:
 extern "C" {
 void ptb_fiber_swap(void** from_sp, void** to_sp);
 void ptb_fiber_boot();
-void ptb_fiber_boot_c(void* f) { fiber_entry_shim(static_cast<Fiber*>(f)); }
+// Referenced only from the top-level asm above, which LTO cannot see into:
+// `used` keeps the definition from being discarded under -flto.
+__attribute__((used)) void ptb_fiber_boot_c(void* f) {
+  fiber_entry_shim(static_cast<Fiber*>(f));
+}
 }
 
 #endif  // PTB_FIBER_ASM_X86_64

@@ -25,24 +25,33 @@ constexpr std::size_t kFiberStackBytes = std::size_t{8} << 20;
 SimBackend default_sim_backend() {
   static const SimBackend b = [] {
     const char* env = std::getenv("PTB_SIM_BACKEND");
-    if (env != nullptr && env[0] != '\0') return sim_backend_from_string(env);
-    return SimBackend::kFibers;
+    if (env == nullptr || env[0] == '\0') return SimBackend::kFibers;
+    const std::optional<SimBackend> parsed = parse_sim_backend(env);
+    PTB_CHECK_MSG(parsed.has_value(), ("unknown simulator backend \"" + std::string(env) +
+                                       "\" (want " + sim_backend_names_joined() + ")")
+                                          .c_str());
+    return *parsed;
   }();
   return b;
 }
 
 const char* to_string(SimBackend b) {
-  if (b == SimBackend::kFibers) return "fibers";
-  return b == SimBackend::kThreads ? "threads" : "parallel";
+  return b == SimBackend::kFibers ? "fibers" : "parallel";
 }
 
-SimBackend sim_backend_from_string(const std::string& s) {
-  if (s == "fibers") return SimBackend::kFibers;
-  if (s == "threads") return SimBackend::kThreads;
-  if (s == "parallel") return SimBackend::kParallel;
-  PTB_CHECK_MSG(false,
-                "unknown simulator backend (want \"fibers\", \"threads\" or \"parallel\")");
-  return SimBackend::kFibers;
+std::string sim_backend_names_joined() {
+  std::string out;
+  for (SimBackend b : kSimBackends) {
+    if (!out.empty()) out.push_back('|');
+    out += to_string(b);
+  }
+  return out;
+}
+
+std::optional<SimBackend> parse_sim_backend(const std::string& s) {
+  for (SimBackend b : kSimBackends)
+    if (s == to_string(b)) return b;
+  return std::nullopt;
 }
 
 int default_sim_workers() {
@@ -81,9 +90,10 @@ SimContext::SimContext(const PlatformSpec& spec, int nprocs, SimBackend backend,
   // The fiber backend serializes unordered stretches in host time, which
   // licenses the model's eager-invalidation cache mode (same virtual results,
   // no shared epoch loads on the read path). Forwards through the race
-  // decorator when one is installed. The slow-path oracle deliberately stays
-  // on lazy epochs so a PTB_MEM_SLOWPATH run re-checks the eager/lazy
-  // equivalence end to end, not just the span coalescing.
+  // decorator when one is installed. kParallel overlaps sections on pool
+  // workers and so stays on lazy epochs, as does the slow-path oracle, which
+  // thereby re-checks the eager/lazy equivalence end to end, not just the
+  // span coalescing.
   if (backend_ == SimBackend::kFibers && !mem_slowpath_)
     mem_->set_serialized(true);
   const auto np = static_cast<std::size_t>(nprocs);
@@ -94,11 +104,8 @@ SimContext::SimContext(const PlatformSpec& spec, int nprocs, SimBackend backend,
   phase_.assign(np, Phase::kOther);
   phase_mark_.assign(np, 0);
   stats_.assign(np, ProcStats{});
-  lock_granted_.assign(np, 0);
   barrier_arrival_.assign(np, 0);
   heap_.init(nprocs);
-  if (backend_ == SimBackend::kThreads)
-    turn_cv_ = std::make_unique<std::condition_variable[]>(np);
 }
 
 SimContext::~SimContext() = default;
@@ -138,7 +145,6 @@ void SimContext::reset_run_state() {
   in_free_.assign(np, 0);
   phase_.assign(np, Phase::kOther);
   phase_mark_.assign(np, 0);
-  lock_granted_.assign(np, 0);
   barrier_arrival_.assign(np, 0);
   locks_.clear();
   barrier_arrived_ = 0;
@@ -167,8 +173,6 @@ void SimContext::run_impl(const std::function<void(SimProc&)>& f) {
   reset_run_state();
   if (backend_ == SimBackend::kFibers)
     run_fibers(f);
-  else if (backend_ == SimBackend::kThreads)
-    run_threads(f);
   else
     run_parallel(f);
 }
@@ -187,33 +191,6 @@ void SimContext::finish_proc(int p) {
   if (anatomy_ != nullptr) anatomy_->phase_close(p, phase_[idx], mem_->proc_stats(p));
   leave_active(p, Status::kDone);
   maybe_release_barrier();
-}
-
-void SimContext::run_threads(const std::function<void(SimProc&)>& f) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nprocs_));
-  for (int p = 0; p < nprocs_; ++p) {
-    threads.emplace_back([this, p, &f] {
-      {
-        // Wait for the run token before executing any host code, so the
-        // thread interleaving is exactly the fiber backend's.
-        std::unique_lock<std::mutex> lk(m_);
-        turn_cv_[static_cast<std::size_t>(p)].wait(lk, [this, p] { return running_ == p; });
-      }
-      SimProc proc(*this, p);
-      f(proc);
-      std::lock_guard<std::mutex> g(m_);
-      finish_proc(p);
-      pass_token(p);
-    });
-  }
-  {
-    std::lock_guard<std::mutex> g(m_);
-    running_ = kHostContext;
-    pass_token(kHostContext);  // start the virtual-time minimum (processor 0)
-  }
-  for (auto& t : threads) t.join();
-  PTB_CHECK(alive_count() == 0);
 }
 
 void SimContext::fiber_entry(void* arg) {
@@ -321,8 +298,8 @@ void SimContext::drain_sections(bool block) {
 void SimContext::op_unordered_run(int p, std::function<void()> fn) {
   const auto idx = static_cast<std::size_t>(p);
   if (backend_ != SimBackend::kParallel || !overlap_ok_) {
-    // Fibers/threads (and observed kParallel runs, which must reproduce the
-    // serial host order for the tracer/profiler/race detector): run inline.
+    // Fibers (and observed kParallel runs, which must reproduce the serial
+    // host order for the tracer/profiler/race detector): run inline.
     // The flag arms the ordered-op-inside-section contract check.
     in_free_[idx] = 1;
     fn();
@@ -374,35 +351,7 @@ void SimContext::run_parallel(const std::function<void(SimProc&)>& f) {
 
 // --- scheduling core ---
 
-void SimContext::yield_turn(OpLock& l, int p) {
-  if (backend_ != SimBackend::kThreads) {
-    fiber_reschedule();
-    return;
-  }
-  pass_token(p);
-  turn_cv_[static_cast<std::size_t>(p)].wait(l.l, [this, p] { return running_ == p; });
-}
-
-void SimContext::pass_token(int me) {
-  const int next = heap_.top();
-  if (next < 0) {
-    // Nobody is runnable: either the run is over, or the simulated program
-    // deadlocked (a lock cycle or mismatched barriers).
-    PTB_CHECK_MSG(alive_count() == 0,
-                  "simulated deadlock: every processor is blocked");
-    running_ = kHostContext;
-    return;
-  }
-  if (next != me) {
-    if (tracer_ != nullptr)
-      tracer_->instant(next, trace::kCatSched, "token-pass",
-                       clock_[static_cast<std::size_t>(next)]);
-    running_ = next;
-    turn_cv_[static_cast<std::size_t>(next)].notify_one();
-  }
-}
-
-void SimContext::wait_for_turn(OpLock& l, int p, bool allow_sections) {
+void SimContext::wait_for_turn(int p, bool allow_sections) {
   // p is Active (in the heap), so the heap is never empty here; yield to the
   // minimum until the minimum is us AND (unless the operation is
   // section-tolerant) no unordered section is in flight. free_running_ is
@@ -413,17 +362,8 @@ void SimContext::wait_for_turn(OpLock& l, int p, bool allow_sections) {
       drain_sections(/*block=*/true);  // our turn, blocked only on sections
       continue;
     }
-    yield_turn(l, p);
+    fiber_reschedule();
   }
-}
-
-void SimContext::wait_lock_grant(OpLock& l, int p) {
-  const auto idx = static_cast<std::size_t>(p);
-  while (lock_granted_[idx] == 0) yield_turn(l, p);
-}
-
-void SimContext::wait_barrier_release(OpLock& l, int p, std::uint64_t gen) {
-  while (barrier_generation_ == gen) yield_turn(l, p);
 }
 
 void SimContext::flush_pending(int p) {
@@ -460,8 +400,8 @@ int SimContext::alive_count() const {
   return n;
 }
 
-bool SimContext::maybe_release_barrier() {
-  if (barrier_arrived_ == 0 || barrier_arrived_ < alive_count()) return false;
+void SimContext::maybe_release_barrier() {
+  if (barrier_arrived_ == 0 || barrier_arrived_ < alive_count()) return;
   std::uint64_t release = 0;
   for (int q = 0; q < nprocs_; ++q) {
     if (status_[static_cast<std::size_t>(q)] == Status::kInBarrier)
@@ -490,18 +430,15 @@ bool SimContext::maybe_release_barrier() {
     set_active(q);
   }
   barrier_arrived_ = 0;
-  ++barrier_generation_;
-  return true;
 }
 
 // --- operations ---
 
 void SimContext::op_lock(int p, const void* addr) {
   const auto idx = static_cast<std::size_t>(p);
-  OpLock l(*this);
   flush_pending(p);
   ++stats_[idx].lock_acquires[static_cast<int>(phase_[idx])];
-  wait_for_turn(l, p);
+  wait_for_turn(p);
   LockState& ls = locks_[addr];
   if (!ls.held) {
     ls.held = true;
@@ -518,8 +455,8 @@ void SimContext::op_lock(int p, const void* addr) {
   if (prof_ != nullptr) prof_->lock_wait_begin(p, addr, request_ns, phase_[idx]);
   ls.waiters.emplace_back(request_ns, p);
   leave_active(p, Status::kBlockedLock);
-  wait_lock_grant(l, p);
-  lock_granted_[idx] = 0;
+  // Parked until a releaser grants us the lock and re-admits us (op_unlock).
+  while (status_[idx] != Status::kActive) fiber_reschedule();
   const std::uint64_t waited = clock_[idx] - request_ns;
   stats_[idx].lock_wait_ns += static_cast<double>(waited);
   stats_[idx].lock_wait_phase_ns[static_cast<int>(phase_[idx])] +=
@@ -529,7 +466,7 @@ void SimContext::op_lock(int p, const void* addr) {
     tracer_->span(p, trace::kCatSync, "lock-wait", request_ns, clock_[idx]);
   // The releaser set our clock to the grant time and made us Active again;
   // run the acquire-side protocol in global virtual-time order.
-  wait_for_turn(l, p);
+  wait_for_turn(p);
   charge_model(p,
                [&](MemModel& m, std::uint64_t now) { return m.on_acquire(p, addr, now); });
   if (prof_ != nullptr)
@@ -538,9 +475,8 @@ void SimContext::op_lock(int p, const void* addr) {
 
 void SimContext::op_unlock(int p, const void* addr) {
   const auto idx = static_cast<std::size_t>(p);
-  OpLock l(*this);
   flush_pending(p);
-  wait_for_turn(l, p);
+  wait_for_turn(p);
   auto it = locks_.find(addr);
   PTB_CHECK_MSG(it != locks_.end() && it->second.held && it->second.holder == p,
                 "unlock of a lock not held by this processor");
@@ -568,16 +504,14 @@ void SimContext::op_unlock(int p, const void* addr) {
     if (tracer_ != nullptr)
       tracer_->flow(p, w, trace::kCatSync, "lock-handoff", clock_[idx], clock_[widx]);
     set_active(w);
-    lock_granted_[widx] = 1;
   }
 }
 
 void SimContext::op_barrier(int p) {
   const auto idx = static_cast<std::size_t>(p);
-  OpLock l(*this);
   flush_pending(p);
   ++stats_[idx].barriers;
-  wait_for_turn(l, p);
+  wait_for_turn(p);
   const std::uint64_t b0 = clock_[idx];
   charge_model(p,
                [&](MemModel& m, std::uint64_t now) { return m.on_barrier_arrive(p, now); });
@@ -585,14 +519,16 @@ void SimContext::op_barrier(int p) {
   if (prof_ != nullptr) prof_->barrier_arrive(p, b0, clock_[idx], phase_[idx]);
   leave_active(p, Status::kInBarrier);
   ++barrier_arrived_;
-  const std::uint64_t gen = barrier_generation_;
-  if (!maybe_release_barrier()) wait_barrier_release(l, p, gen);
+  // The last arrival releases everyone, itself included; earlier arrivals
+  // stay parked until it has.
+  maybe_release_barrier();
+  while (status_[idx] != Status::kActive) fiber_reschedule();
   // Departure protocol in deterministic order (all clocks equal, id breaks
   // the tie). Departures are section-tolerant in the parallel backend: the
   // depart charge touches only the departing processor's own model state, and
   // letting it run while earlier departers sit in their unordered sections is
   // what lets those sections overlap at all.
-  wait_for_turn(l, p, /*allow_sections=*/true);
+  wait_for_turn(p, /*allow_sections=*/true);
   charge_model(p,
                [&](MemModel& m, std::uint64_t now) { return m.on_barrier_depart(p, now); });
   if (prof_ != nullptr)
@@ -601,7 +537,6 @@ void SimContext::op_barrier(int p) {
 
 void SimContext::op_begin_phase(int p, Phase ph) {
   const auto idx = static_cast<std::size_t>(p);
-  OpLock l(*this);
   flush_pending(p);
   if (tracer_ != nullptr && clock_[idx] > phase_mark_[idx])
     tracer_->span(p, trace::kCatPhase, phase_name(phase_[idx]), phase_mark_[idx],
@@ -622,16 +557,14 @@ void SimContext::op_begin_phase(int p, Phase ph) {
 // --- SimProc forwarding ---
 
 void SimProc::read(const void* p, std::size_t n) {
-  SimContext::OpLock l(*ctx_);
   ctx_->flush_pending(self_);
-  ctx_->wait_for_turn(l, self_);
+  ctx_->wait_for_turn(self_);
   ctx_->ordered_charge(self_, p, n, /*is_write=*/false);
 }
 
 void SimProc::write(const void* p, std::size_t n) {
-  SimContext::OpLock l(*ctx_);
   ctx_->flush_pending(self_);
-  ctx_->wait_for_turn(l, self_);
+  ctx_->wait_for_turn(self_);
   ctx_->ordered_charge(self_, p, n, /*is_write=*/true);
 }
 
@@ -640,11 +573,10 @@ void SimProc::lock(const void* addr) { ctx_->op_lock(self_, addr); }
 void SimProc::unlock(const void* addr) { ctx_->op_unlock(self_, addr); }
 
 std::int64_t SimProc::fetch_add(std::atomic<std::int64_t>& ctr, std::int64_t v) {
-  SimContext::OpLock l(*ctx_);
   const auto idx = static_cast<std::size_t>(self_);
   ctx_->flush_pending(self_);
   ++ctx_->stats_[idx].fetch_adds;
-  ctx_->wait_for_turn(l, self_);
+  ctx_->wait_for_turn(self_);
   const std::uint64_t t0 = ctx_->clock_[idx];
   ctx_->charge_model(self_, [&](MemModel& m, std::uint64_t now) {
     return m.on_rmw(self_, &ctr, now);

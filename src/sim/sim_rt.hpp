@@ -16,16 +16,12 @@
 //    virtual-time minimum (an indexed min-heap keyed by (clock, proc)), so
 //    an ordered operation costs a user-space context switch at worst and a
 //    heap update at best — no mutex, no condition variables, no OS scheduler
-//    in the loop, and determinism by construction.
-//  * kThreads: one host thread per simulated processor, kept as a
-//    cross-check. The same scheduling discipline is enforced with a run
-//    token: a thread executes (host code included) only while it holds the
-//    token, and every wait point hands the token to the heap top with a
-//    mutex + condition-variable signal. Serializing the host execution is
-//    not just about the ordering ops: algorithm code legitimately reads
-//    shared tree state outside any simulated lock (races resolved in
-//    *virtual* time), and letting host threads overlap for real would let
-//    the OS scheduler pick which side of such a race each run observes.
+//    in the loop, and determinism by construction. Serializing the host
+//    execution is not just about the ordering ops: algorithm code
+//    legitimately reads shared tree state outside any simulated lock (races
+//    resolved in *virtual* time), and letting host threads overlap for real
+//    would let the OS scheduler pick which side of such a race each run
+//    observes.
 //  * kParallel: the fiber scheduler runs unchanged on one host thread — the
 //    ordered path pays not a single atomic more than kFibers — but an
 //    unordered section (rt.unordered(fn): a stretch the application declares
@@ -41,11 +37,14 @@
 //    next processor reach its own section. docs/MODEL.md ("The lookahead
 //    window") argues why this cannot change a single virtual time.
 //
-// All backends implement the same virtual-time state machine with the same
-// (clock, processor-id) tie-break and the same run-to-wait-point execution
-// order, so they produce bit-identical virtual times, lock counts and
-// per-phase statistics; the test suite asserts this
-// (tests/test_sim_backend_equiv.cpp).
+// Under both backends every ordered operation runs on the one scheduler
+// thread, so the ordered path takes no lock. Both implement the same
+// virtual-time state machine with the same (clock, processor-id) tie-break
+// and the same run-to-wait-point execution order, so they produce
+// bit-identical virtual times, lock counts and per-phase statistics; the test
+// suite asserts this against each other (tests/test_sim_backend_equiv.cpp)
+// and against an independent sequential implementation of the scheduling
+// rules (tests/test_sim_reference.cpp).
 //
 // Determinism: given a fixed platform, processor count and input, repeated
 // runs produce bit-identical virtual times and statistics (ties in virtual
@@ -66,6 +65,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -98,7 +98,11 @@ class Collector;
 }  // namespace anatomy
 
 /// How SimContext::run executes the simulated processors.
-enum class SimBackend { kFibers, kThreads, kParallel };
+enum class SimBackend { kFibers, kParallel };
+
+/// Every backend, in declaration order: the one list the names, CLI help
+/// and error text are built from.
+inline constexpr SimBackend kSimBackends[] = {SimBackend::kFibers, SimBackend::kParallel};
 
 /// Reads PTB_RACE from the environment (non-empty, non-"0" enables the
 /// data-race detector); the default for SimContext's `race_detect` argument,
@@ -106,9 +110,10 @@ enum class SimBackend { kFibers, kThreads, kParallel };
 /// construction sites.
 bool default_race_detection();
 
-/// Reads PTB_SIM_BACKEND ("fibers" | "threads" | "parallel") from the
-/// environment; defaults to kFibers. Lets CI sweep the whole test suite
-/// across backends without touching every construction site.
+/// Reads PTB_SIM_BACKEND (a name from sim_backend_names_joined()) from the
+/// environment; defaults to kFibers and aborts on an unknown name. Lets CI
+/// sweep the whole test suite across backends without touching every
+/// construction site.
 SimBackend default_sim_backend();
 
 /// Reads PTB_SIM_WORKERS (host threads for the kParallel backend); defaults
@@ -117,8 +122,12 @@ int default_sim_workers();
 
 const char* to_string(SimBackend b);
 
-/// Parses "fibers" / "threads" / "parallel" (aborts on anything else).
-SimBackend sim_backend_from_string(const std::string& s);
+/// "fibers|parallel" — the one shared backend listing for CLI help and
+/// error text; never hand-maintain a copy.
+std::string sim_backend_names_joined();
+
+/// The backend named `s`, or nullopt for an unknown name.
+std::optional<SimBackend> parse_sim_backend(const std::string& s);
 
 class SimContext;
 
@@ -169,8 +178,8 @@ class SimProc {
   /// Runs `fn` as an unordered section: a stretch that issues only
   /// read_shared/read_shared_span/compute work, touches no state another
   /// processor writes, and whose host side-effects are confined to this
-  /// processor's own slots. Under kFibers/kThreads it is an inline call
-  /// (plus the contract flag); under kParallel it is the unit of real host
+  /// processor's own slots. Under kFibers it is an inline call (plus the
+  /// contract flag); under kParallel it is the unit of real host
   /// overlap — the closure runs on a pool worker while the scheduler keeps
   /// going (see the kParallel notes above). Ordered operations inside a
   /// section abort the run.
@@ -204,7 +213,7 @@ class SimContext {
   const PlatformSpec& spec() const { return spec_; }
   MemModel& mem() { return *mem_; }
 
-  /// Host worker threads for the kParallel backend (ignored elsewhere).
+  /// Host worker threads for the kParallel backend (ignored by kFibers).
   /// Clamped to [1, nprocs] at run time. Call before run().
   void set_workers(int w) { workers_ = w; }
   int workers() const { return workers_; }
@@ -258,12 +267,11 @@ class SimContext {
   }
 
   /// Charges a read/write of [addr, addr+n) at processor p's turn and runs
-  /// `f()` inside the ordering section (see SimProc::ordered_load).
+  /// `f()` at that same turn (see SimProc::ordered_load).
   template <class F>
   auto ordered_apply(int p, const void* addr, std::size_t n, bool is_write, F&& f) {
-    OpLock l(*this);
     flush_pending(p);
-    wait_for_turn(l, p);
+    wait_for_turn(p);
     ordered_charge(p, addr, n, is_write);
     return f();
   }
@@ -274,9 +282,8 @@ class SimContext {
   template <class F>
   auto ordered_apply_sync(int p, const void* sync, const void* addr, std::size_t n,
                           bool is_write, F&& f) {
-    OpLock l(*this);
     flush_pending(p);
-    wait_for_turn(l, p);
+    wait_for_turn(p);
     // on_atomic stays a virtual call: decorators key sync state off it, and
     // it is far off the hot path.
     charge_model_prof(p, addr, [&](MemModel& m, std::uint64_t now) {
@@ -314,19 +321,7 @@ class SimContext {
     std::vector<std::pair<std::uint64_t, int>> waiters;
   };
 
-  /// Scoped ordering-section guard: takes the global mutex in the threads
-  /// backend, is free in the fiber AND parallel backends — kParallel runs
-  /// the whole ordered path on the scheduler thread; pool workers touch only
-  /// their processor's own slots and the pool queues (pool_m_).
-  struct OpLock {
-    explicit OpLock(SimContext& c) {
-      if (c.backend_ == SimBackend::kThreads) l = std::unique_lock<std::mutex>(c.m_);
-    }
-    std::unique_lock<std::mutex> l;
-  };
-
   void run_impl(const std::function<void(SimProc&)>& f);
-  void run_threads(const std::function<void(SimProc&)>& f);
   void run_fibers(const std::function<void(SimProc&)>& f);
   void run_parallel(const std::function<void(SimProc&)>& f);
   void reset_run_state();
@@ -334,25 +329,14 @@ class SimContext {
   /// close the phase attribution, retire the processor.
   void finish_proc(int p);
 
-  // --- scheduling core (requires the ordering section) ---
+  // --- scheduling core (scheduler thread only) ---
   /// Blocks processor p until it is the (clock, id) minimum of the Active
   /// set, yielding to the heap top meanwhile. Unless `allow_sections`, also
   /// waits for every in-flight unordered section to fold (kParallel; the
-  /// count is always zero elsewhere). `allow_sections` is only legal for
+  /// count is always zero under kFibers). `allow_sections` is only legal for
   /// operations whose model charge touches no state an unordered section
   /// reads (the barrier departure).
-  void wait_for_turn(OpLock& l, int p, bool allow_sections = false);
-  /// Waits until lock_granted_[p] is set by a releaser.
-  void wait_lock_grant(OpLock& l, int p);
-  /// Waits until the barrier generation moves past `gen`.
-  void wait_barrier_release(OpLock& l, int p, std::uint64_t gen);
-  /// Hands execution to the heap top and blocks until p is resumed: fiber
-  /// switch in the fiber backend, token handoff + condvar sleep in the
-  /// threads backend. The single yield primitive under all three waits.
-  void yield_turn(OpLock& l, int p);
-  /// Threads backend: transfers the run token to the heap top (or back to
-  /// the host context when everyone is done) and signals the new owner.
-  void pass_token(int me);
+  void wait_for_turn(int p, bool allow_sections = false);
   void flush_pending(int p);
   void advance(int p, std::uint64_t cost);
   /// Re-admits p to the Active set (lock grant, barrier release).
@@ -360,9 +344,9 @@ class SimContext {
   /// Removes p from the Active set with the given blocked/done status.
   void leave_active(int p, Status s);
   int alive_count() const;
-  bool maybe_release_barrier();
+  void maybe_release_barrier();
 
-  // --- fiber backend ---
+  // --- fiber scheduler (both backends) ---
   static constexpr int kHostContext = -1;
   static void fiber_entry(void* arg);
   void fiber_body(int p);
@@ -371,7 +355,7 @@ class SimContext {
   void fiber_reschedule();
 
   // --- parallel backend (scheduler thread unless noted) ---
-  /// Launches `fn` as processor p's unordered section. kFibers/kThreads (or
+  /// Launches `fn` as processor p's unordered section. kFibers (or
   /// kParallel with an observer attached): runs it inline. kParallel: folds
   /// p's pending cost, removes p from the Active set, enqueues the closure
   /// for the pool and reschedules; p's fiber resumes after drain_sections
@@ -391,7 +375,7 @@ class SimContext {
     stats_[idx].mem_stall_ns[static_cast<int>(phase_[idx])] +=
         static_cast<double>(cost);
   }
-  /// Requires the ordering section and p's turn. Runs one protocol-model
+  /// Requires p's turn (scheduler thread). Runs one protocol-model
   /// call (`call(mem, now) -> cost`), advances p's clock by the cost,
   /// attributes the memory stall to p's current phase, and — when tracing —
   /// emits instant events for the memory-event counters the call advanced.
@@ -435,9 +419,10 @@ class SimContext {
   /// protocol-model call (`call() -> cost`) with the observer
   /// snapshot-and-diff around it when a tracer or profiler is attached.
   /// Timestamps are approximate (the pending bucket has not been folded into
-  /// the clock yet); both backends serialize host execution, so the
-  /// observers need no locking. The ONE copy of this block — the scalar and
-  /// span fast paths share it, so they cannot drift.
+  /// the clock yet); observed runs serialize host execution (kParallel runs
+  /// sections inline under any observer), so the observers need no locking.
+  /// The ONE copy of this block — the scalar and span fast paths share it,
+  /// so they cannot drift.
   template <class F>
   std::uint64_t observed_unordered_call(int p, const void* addr, F&& call) {
     if (tracer_ == nullptr && prof_ == nullptr) return call();
@@ -492,14 +477,9 @@ class SimContext {
   /// clock/status mutation in both backends.
   TurnHeap heap_;
 
-  // Threads backend: the global ordering mutex and per-processor condition
-  // variables; running_ doubles as the run token (only its owner executes).
-  std::mutex m_;
-  std::unique_ptr<std::condition_variable[]> turn_cv_;
-
-  // Fiber backend: one stackful fiber per simulated processor plus the host
-  // thread's anchor context; running_ is the processor currently executing
-  // (shared with the threads backend as the token).
+  // Fiber scheduler (both backends): one stackful fiber per simulated
+  // processor plus the host thread's anchor context; running_ is the
+  // processor currently executing.
   struct FiberArg {
     SimContext* ctx;
     int proc;
@@ -541,12 +521,10 @@ class SimContext {
   std::vector<std::uint64_t> clock_;
   std::vector<Status> status_;
   std::vector<PaddedCost> pending_;  // written only by the owning processor
-  std::vector<std::uint8_t> lock_granted_;
   std::unordered_map<const void*, LockState> locks_;
 
   // Barrier state.
   int barrier_arrived_ = 0;
-  std::uint64_t barrier_generation_ = 0;
   std::vector<std::uint64_t> barrier_arrival_;
 
   // Phase accounting.

@@ -79,7 +79,7 @@ TEST(CacheModel, ClearDropsContents) {
 
 TEST(CacheModel, EagerMatchesLazyOnRandomTraffic) {
   // The simulator's fiber backend runs the caches in eager-invalidation mode
-  // (touch_nv probes, mark_stale sweeps at epoch bumps) while the threads
+  // (touch_nv probes, mark_stale sweeps at epoch bumps) while the parallel
   // backend and the PTB_MEM_SLOWPATH oracle stay on lazy epochs. The two
   // must agree access for access: same hits, same evictions. Drive a pair of
   // per-processor cache sets with identical random traffic — reads by any

@@ -30,10 +30,17 @@ TEST(Experiment, SpeedupsPositiveAndBounded) {
 }
 
 TEST(Experiment, BaselineCachedAcrossAlgorithms) {
+  // One p=1 baseline serves every builder and every backend: it always runs
+  // on fibers, and its cache key names neither.
   ExperimentRunner runner;
   const auto a = runner.run(spec("origin2000", Algorithm::kLocal, 1500, 4));
   const auto b = runner.run(spec("origin2000", Algorithm::kSpace, 1500, 4));
+  ExperimentSpec par = spec("origin2000", Algorithm::kSpace, 1500, 4);
+  par.backend = SimBackend::kParallel;
+  par.sim_workers = 2;
+  const auto c = runner.run(par);
   EXPECT_DOUBLE_EQ(a.seq_seconds, b.seq_seconds);
+  EXPECT_DOUBLE_EQ(a.seq_seconds, c.seq_seconds);
 }
 
 TEST(Experiment, SequentialTimeScalesSuperlinearly) {
