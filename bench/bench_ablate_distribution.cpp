@@ -1,28 +1,17 @@
 // Ablation: particle-distribution sensitivity.
 // The paper's workload is a (centrally condensed) Plummer galaxy. This bench
-// compares the five algorithms on a uniform distribution and on a colliding
+// compares every builder on a uniform distribution and on a colliding
 // cluster pair, on the SVM platform where tree-build costs dominate: the
 // uniform case has a shallow, balanced tree (less lock contention, fewer
 // subdivision chains); the colliding pair stresses UPDATE's incremental
 // maintenance.
 #include "bench_common.hpp"
 #include "sim/sim_rt.hpp"
-#include "treebuild/local.hpp"
-#include "treebuild/orig.hpp"
-#include "treebuild/partree.hpp"
-#include "treebuild/space.hpp"
-#include "treebuild/update.hpp"
+#include "treebuild/dispatch.hpp"
 
 namespace {
 
 using namespace ptb;
-
-template <class Builder>
-RunResult run_with(AppState& st, int np, int warm, int measured) {
-  SimContext ctx(PlatformSpec::typhoon0_hlrc(), np);
-  Builder b(st);
-  return run_simulation(ctx, st, b, RunConfig{warm, measured});
-}
 
 AppState make_state(const std::string& dist, int n, int np) {
   BHConfig cfg;
@@ -56,24 +45,11 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {algorithm_name(alg)};
     for (const std::string dist : {"plummer", "uniform", "colliding"}) {
       AppState st = make_state(dist, n, np);
+      SimContext ctx(PlatformSpec::typhoon0_hlrc(), np);
       RunResult r;
-      switch (alg) {
-        case Algorithm::kOrig:
-          r = run_with<OrigBuilder>(st, np, opt.warmup, opt.measured);
-          break;
-        case Algorithm::kLocal:
-          r = run_with<LocalBuilder>(st, np, opt.warmup, opt.measured);
-          break;
-        case Algorithm::kUpdate:
-          r = run_with<UpdateBuilder>(st, np, opt.warmup, opt.measured);
-          break;
-        case Algorithm::kPartree:
-          r = run_with<PartreeBuilder>(st, np, opt.warmup, opt.measured);
-          break;
-        case Algorithm::kSpace:
-          r = run_with<SpaceBuilder>(st, np, opt.warmup, opt.measured);
-          break;
-      }
+      with_builder(alg, st, [&](auto& b) {
+        r = run_simulation(ctx, st, b, RunConfig{opt.warmup, opt.measured});
+      });
       row.push_back(Table::num(r.phase(Phase::kTreeBuild) * 1e-9, 3) + " (" +
                     Table::num(r.total_ns * 1e-9, 2) + ")");
     }

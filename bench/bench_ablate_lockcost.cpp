@@ -5,10 +5,7 @@
 // from LOCAL-best to SPACE-best falls.
 #include "bench_common.hpp"
 #include "sim/sim_rt.hpp"
-#include "treebuild/local.hpp"
-#include "treebuild/orig.hpp"
-#include "treebuild/partree.hpp"
-#include "treebuild/space.hpp"
+#include "treebuild/dispatch.hpp"
 
 int main(int argc, char** argv) {
   using namespace ptb;
@@ -34,30 +31,10 @@ int main(int argc, char** argv) {
       bh.n = n;
       AppState st = make_app_state(bh, np);
       SimContext ctx(spec, np);
-      const RunConfig rc{opt.warmup, opt.measured};
       RunResult res;
-      switch (alg) {
-        case Algorithm::kOrig: {
-          OrigBuilder b(st);
-          res = run_simulation(ctx, st, b, rc);
-          break;
-        }
-        case Algorithm::kLocal: {
-          LocalBuilder b(st);
-          res = run_simulation(ctx, st, b, rc);
-          break;
-        }
-        case Algorithm::kPartree: {
-          PartreeBuilder b(st);
-          res = run_simulation(ctx, st, b, rc);
-          break;
-        }
-        default: {
-          SpaceBuilder b(st);
-          res = run_simulation(ctx, st, b, rc);
-          break;
-        }
-      }
+      with_builder(alg, st, [&](auto& b) {
+        res = run_simulation(ctx, st, b, RunConfig{opt.warmup, opt.measured});
+      });
       const double s = res.total_ns * 1e-9;
       row.push_back(Table::num(s, 3));
       if (s < best) {

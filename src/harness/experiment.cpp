@@ -19,11 +19,14 @@ BHConfig effective_bh(const ExperimentSpec& spec) {
   return bh;
 }
 
+/// Every input the p=1 run reads, doubles in full precision.
 std::string baseline_key(const ExperimentSpec& spec) {
   const BHConfig bh = effective_bh(spec);
   std::ostringstream os;
-  os << spec.platform << '/' << bh.n << '/' << bh.theta << '/' << bh.leaf_cap << '/'
-     << bh.seed << '/' << spec.warmup_steps << '/' << spec.measured_steps << '/'
+  os.precision(17);
+  os << spec.platform << '/' << bh.n << '/' << bh.theta << '/' << bh.eps << '/' << bh.dt
+     << '/' << bh.leaf_cap << '/' << bh.max_level << '/' << bh.seed << '/'
+     << spec.warmup_steps << '/' << spec.measured_steps << '/'
      << static_cast<int>(bh.partitioner) << '/' << bh.lock_buckets;
   return os.str();
 }
@@ -85,25 +88,30 @@ WaitSummary wait_summary(const Distribution& d) {
   return w;
 }
 
-ExperimentRunner::Baseline ExperimentRunner::baseline(const ExperimentSpec& spec) {
+std::shared_future<ExperimentRunner::Baseline> ExperimentRunner::baseline(
+    const ExperimentSpec& spec) {
   const std::string key = baseline_key(spec);
   auto it = baseline_cache_.find(key);
   if (it != baseline_cache_.end()) return it->second;
 
+  // The closure owns copies of its inputs and builds its own state, so the
+  // simulation shares nothing with the caller's thread. Virtual results are
+  // identical across backends, so the one-processor baseline always runs on
+  // fibers: no worker pool for a single processor, and one cache entry
+  // however many backends a sweep mixes.
   const PlatformSpec platform = sequential_variant(PlatformSpec::by_name(spec.platform));
-  AppState st = make_app_state(effective_bh(spec), 1);
-  // Virtual results are identical across backends, so the one-processor
-  // baseline always runs on fibers: no worker pool for a single processor,
-  // and one cache entry however many backends a sweep mixes.
-  SimContext ctx(platform, 1, SimBackend::kFibers);
-  SeqBuilder builder(st);
+  const BHConfig bh = effective_bh(spec);
   const RunConfig rc{spec.warmup_steps, spec.measured_steps};
-  const RunResult res = run_simulation(ctx, st, builder, rc);
-
-  Baseline b;
-  b.total_s = res.total_ns * 1e-9;
-  b.treebuild_s = res.phase(Phase::kTreeBuild) * 1e-9;
-  baseline_cache_[key] = b;
+  auto simulate = [platform, bh, rc] {
+    AppState st = make_app_state(bh, 1);
+    SimContext ctx(platform, 1, SimBackend::kFibers);
+    SeqBuilder builder(st);
+    const RunResult res = run_simulation(ctx, st, builder, rc);
+    return Baseline{res.total_ns * 1e-9, res.phase(Phase::kTreeBuild) * 1e-9};
+  };
+  std::shared_future<Baseline> b =
+      std::async(std::launch::async, std::move(simulate)).share();
+  baseline_cache_.emplace(key, b);
   return b;
 }
 
@@ -116,10 +124,12 @@ double ExperimentRunner::sequential_seconds(const std::string& platform, int n,
   spec.bh = bh;
   spec.warmup_steps = warmup_steps;
   spec.measured_steps = measured_steps;
-  return baseline(spec).total_s;
+  return baseline(spec).get().total_s;
 }
 
 ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
+  // Started first, so the baseline overlaps the parallel run's set-up too.
+  const std::shared_future<Baseline> base_future = baseline(spec);
   const PlatformSpec platform = PlatformSpec::by_name(spec.platform);
 
   AppState st = make_app_state(effective_bh(spec), spec.nprocs);
@@ -161,7 +171,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
                  [&](auto& b) { out.run = run_simulation(ctx, st, b, rc); });
   }
 
-  const Baseline base = baseline(spec);
+  const Baseline& base = base_future.get();
   out.seq_seconds = base.total_s;
   out.par_seconds = out.run.total_ns * 1e-9;
   out.speedup = out.par_seconds > 0.0 ? out.seq_seconds / out.par_seconds : 0.0;

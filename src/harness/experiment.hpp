@@ -3,6 +3,7 @@
 // the numbers the paper's tables and figures are built from.
 #pragma once
 
+#include <future>
 #include <map>
 #include <string>
 #include <vector>
@@ -117,11 +118,20 @@ WaitSummary wait_summary(const Distribution& d);
 /// Runs experiments, caching the sequential baselines per (platform, BH
 /// parameters, steps) so that sweeps over the builders — and over backends —
 /// share one baseline.
+///
+/// run() starts an uncached p=1 baseline on its own host thread before it
+/// sets up the parallel run, and waits for it only when the speedups are
+/// derived, so the two simulations overlap. They share no state: each owns
+/// its AppState, SimContext and fibers, so the virtual results are the same
+/// as when the baseline runs alone. The cache holds futures, so a later
+/// experiment finds a baseline whether it is still running or finished.
+/// Only the calling thread touches the cache, and every public call returns
+/// after the baseline it needs has finished.
 class ExperimentRunner {
  public:
   ExperimentResult run(const ExperimentSpec& spec);
 
-  /// The sequential baseline alone (paper Table 1).
+  /// The sequential baseline alone (paper Table 1). Blocks until it is done.
   double sequential_seconds(const std::string& platform, int n, const BHConfig& bh,
                             int warmup_steps = 2, int measured_steps = 2);
 
@@ -130,9 +140,11 @@ class ExperimentRunner {
     double total_s = 0.0;
     double treebuild_s = 0.0;
   };
-  Baseline baseline(const ExperimentSpec& spec);
+  /// The cached baseline of `spec`'s key, started on its own host thread when
+  /// no earlier call asked for it.
+  std::shared_future<Baseline> baseline(const ExperimentSpec& spec);
 
-  std::map<std::string, Baseline> baseline_cache_;
+  std::map<std::string, std::shared_future<Baseline>> baseline_cache_;
 };
 
 }  // namespace ptb

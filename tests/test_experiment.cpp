@@ -2,6 +2,8 @@
 // shapes at test scale.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
 
@@ -41,6 +43,80 @@ TEST(Experiment, BaselineCachedAcrossAlgorithms) {
   const auto c = runner.run(par);
   EXPECT_DOUBLE_EQ(a.seq_seconds, b.seq_seconds);
   EXPECT_DOUBLE_EQ(a.seq_seconds, c.seq_seconds);
+}
+
+TEST(Experiment, BaselineCacheKeyCoversSofteningAndTimeStep) {
+  // The p=1 run reads the softening length and the time-step, so a spec that
+  // differs only in one of them must get its own baseline from a runner that
+  // already cached the default spec's. (max_level is keyed too; at this size
+  // it cannot change the tree without tripping the leaf-capacity check.)
+  const ExperimentSpec base = spec("origin2000", Algorithm::kSpace, 1000, 4);
+  ExperimentSpec dt = base;
+  dt.bh.dt = 0.05;
+  ExperimentSpec eps = base;
+  eps.bh.eps = 0.2;
+  ExperimentRunner shared;
+  shared.run(base);
+  for (const auto& [name, s] : {std::pair{"dt", dt}, std::pair{"eps", eps}}) {
+    SCOPED_TRACE(name);
+    const ExperimentResult cached = shared.run(s);
+    ExperimentRunner fresh;
+    const ExperimentResult alone = fresh.run(s);
+    EXPECT_EQ(cached.seq_seconds, alone.seq_seconds);
+    EXPECT_EQ(cached.treebuild_seq_seconds, alone.treebuild_seq_seconds);
+  }
+}
+
+TEST(Experiment, OverlappedBaselineChangesNoVirtualNumber) {
+  // run() simulates the p=1 baseline on a second host thread while the
+  // parallel run proceeds. Any process-global state the two simulations
+  // shared would show as a difference from the same run whose baseline was
+  // cached beforehand, i.e. ran alone. Covers both backends, bare and with
+  // every observer attached.
+  struct Case {
+    SimBackend backend;
+    bool observed;
+  };
+  for (const Case c :
+       {Case{SimBackend::kFibers, false}, Case{SimBackend::kFibers, true},
+        Case{SimBackend::kParallel, false}, Case{SimBackend::kParallel, true}}) {
+    SCOPED_TRACE(testing::Message() << to_string(c.backend)
+                                    << (c.observed ? " observed" : " bare"));
+    ExperimentSpec s = spec("paragon", Algorithm::kOrig, 512, 4);
+    s.backend = c.backend;
+    s.sim_workers = 2;
+    s.race = s.prof = s.sight = s.anatomy = c.observed;
+    trace::Tracer overlapped_trace(s.nprocs);
+    trace::Tracer alone_trace(s.nprocs);
+
+    ExperimentRunner fresh;
+    if (c.observed) s.tracer = &overlapped_trace;
+    const ExperimentResult overlapped = fresh.run(s);
+
+    ExperimentRunner primed;
+    primed.sequential_seconds(s.platform, s.n, s.bh, s.warmup_steps, s.measured_steps);
+    if (c.observed) s.tracer = &alone_trace;
+    const ExperimentResult alone = primed.run(s);
+
+    EXPECT_EQ(overlapped.seq_seconds, alone.seq_seconds);
+    EXPECT_EQ(overlapped.treebuild_seq_seconds, alone.treebuild_seq_seconds);
+    EXPECT_EQ(overlapped.par_seconds, alone.par_seconds);
+    EXPECT_EQ(overlapped.run.phase_ns, alone.run.phase_ns);
+    for (const MemCounterDesc& m : kMemCounters)
+      EXPECT_EQ(overlapped.mem.*m.field, alone.mem.*m.field) << m.metric;
+    EXPECT_EQ(overlapped.treebuild_locks_per_proc, alone.treebuild_locks_per_proc);
+    EXPECT_EQ(overlapped.treebuild_locks_total, alone.treebuild_locks_total);
+    EXPECT_GT(overlapped.treebuild_locks_total, 0u);
+    if (c.observed) {
+      EXPECT_EQ(overlapped_trace.chrome_json(), alone_trace.chrome_json());
+      EXPECT_TRUE(overlapped.race.enabled);
+      EXPECT_EQ(overlapped.race.races, alone.race.races);
+      EXPECT_EQ(overlapped.race.checked_reads, alone.race.checked_reads);
+      EXPECT_EQ(prof::profile_json(overlapped.profile), prof::profile_json(alone.profile));
+      EXPECT_EQ(sight::sight_json(overlapped.sight), sight::sight_json(alone.sight));
+      EXPECT_EQ(overlapped.anatomy.total_ns, alone.anatomy.total_ns);
+    }
+  }
 }
 
 TEST(Experiment, SequentialTimeScalesSuperlinearly) {
