@@ -1,11 +1,14 @@
 #include "sight/sight.hpp"
 
 #include <algorithm>
-#include <bitset>
+#include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <map>
+#include <system_error>
 #include <tuple>
 
 #include "support/check.hpp"
@@ -17,7 +20,14 @@ namespace ptb::sight {
 
 namespace {
 
-int popcount64(std::uint64_t x) { return static_cast<int>(std::bitset<64>(x).count()); }
+/// Set bits in `x`, inline: the portable build has no popcnt instruction,
+/// so std::popcount and std::bitset::count become a libgcc call.
+std::uint32_t ones(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101ULL) >> 56);
+}
 
 /// "local.cells.p3" → "local.cells.p*": collapses per-processor region
 /// suffixes so the sharing table aggregates a pool family into one scope.
@@ -51,9 +61,8 @@ LineClass classify(const LineUse& u) {
   const std::uint64_t all = u.readers | u.writers;
   if (all == 0) return LineClass::kUntouched;
   if ((all & (all - 1)) == 0) return LineClass::kPrivate;
-  const int nw = popcount64(u.writers);
-  if (nw == 0) return LineClass::kReadShared;
-  if (nw == 1) return LineClass::kProducerConsumer;
+  if (u.writers == 0) return LineClass::kReadShared;
+  if ((u.writers & (u.writers - 1)) == 0) return LineClass::kProducerConsumer;
   // Several writers: migratory when ownership transfers are predominantly
   // read-then-write (the lock-protected update pattern); otherwise the line
   // bounces on blind writes — ping-pong.
@@ -63,55 +72,83 @@ LineClass classify(const LineUse& u) {
 
 // --- ReuseTracker -----------------------------------------------------------
 
-void SightModel::ReuseTracker::fen_add(std::uint32_t pos, std::int32_t d) {
-  for (; pos <= cap; pos += pos & (~pos + 1)) fen[pos] += static_cast<std::uint32_t>(d);
+void SightModel::ReuseTracker::fen_add(std::uint32_t word, std::int32_t d) {
+  const auto n = static_cast<std::uint32_t>(live.size());
+  for (std::uint32_t i = word + 1; i <= n; i += i & (~i + 1))
+    fen[i] += static_cast<std::uint32_t>(d);
 }
 
-std::uint32_t SightModel::ReuseTracker::fen_prefix(std::uint32_t pos) const {
+std::uint32_t SightModel::ReuseTracker::fen_prefix(std::uint32_t words) const {
   std::uint32_t s = 0;
-  for (; pos > 0; pos -= pos & (~pos + 1)) s += fen[pos];
+  for (std::uint32_t i = words; i > 0; i -= i & (~i + 1)) s += fen[i];
   return s;
 }
 
 void SightModel::ReuseTracker::compact() {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> order;
-  order.reserve(lines.size());
-  // ptblint: allow(unordered-iter) -- collected into (slot, line) pairs and sorted before use
-  for (const auto& [line, li] : lines) order.emplace_back(li.slot, line);
-  std::sort(order.begin(), order.end());
-  const auto k = static_cast<std::uint32_t>(order.size());
-  cap = std::max<std::uint32_t>(1024, 2 * k);
-  fen.assign(cap + 1, 0);
-  next = 0;
-  for (const auto& [slot, line] : order) {
-    lines[line].slot = next;
-    fen_add(next + 1, 1);
-    ++next;
+  // Renumber the live markers 0..k-1 in slot order. The write index never
+  // passes the slot being read, so slot_line compacts in place.
+  std::uint32_t k = 0;
+  for (std::uint32_t w = 0; w < live.size(); ++w) {
+    for (std::uint64_t bits = live[w]; bits != 0; bits &= bits - 1) {
+      const std::uint32_t id =
+          slot_line[w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits))];
+      slot_line[k] = id;
+      state[id].slot = k;
+      ++k;
+    }
+  }
+  cap = std::max<std::uint32_t>(1024, (2 * k + 63) / 64 * 64);
+  next = k;
+  slot_line.resize(cap);
+  live.assign(cap / 64, 0);
+  for (std::uint32_t w = 0; w < k / 64; ++w) live[w] = ~std::uint64_t{0};
+  if (k % 64 != 0) live[k / 64] = (std::uint64_t{1} << (k % 64)) - 1;
+  // Linear-time Fenwick build: each node takes its word's count, then adds
+  // its finished sum into its parent.
+  const auto n = static_cast<std::uint32_t>(live.size());
+  fen.assign(n + 1, 0);
+  for (std::uint32_t i = 1; i <= n; ++i) {
+    fen[i] += ones(live[i - 1]);
+    const std::uint32_t parent = i + (i & (~i + 1));
+    if (parent <= n) fen[parent] += fen[i];
   }
 }
 
-std::uint64_t SightModel::ReuseTracker::access(std::uint64_t line, int phase,
+std::uint64_t SightModel::ReuseTracker::access(std::uint32_t id, int phase,
                                                bool& first_in_phase) {
-  if (cap == 0) {
-    cap = 1024;
-    fen.assign(cap + 1, 0);
-  }
-  if (next == cap) compact();
-  auto [it, inserted] = lines.try_emplace(line);
-  LineInfo& li = it->second;
+  if (id >= state.size()) state.resize(id + 1);
+  LineState& ls = state[id];
   const auto pbit = static_cast<std::uint8_t>(1u << phase);
-  first_in_phase = (li.phase_mask & pbit) == 0;
-  li.phase_mask = static_cast<std::uint8_t>(li.phase_mask | pbit);
+  first_in_phase = (ls.phase_mask & pbit) == 0;
+  const bool cold = ls.phase_mask == 0;
+  ls.phase_mask = static_cast<std::uint8_t>(ls.phase_mask | pbit);
+  // The most recent line's marker already holds the latest slot.
+  if (id == last) return 0;
+  last = id;
+  if (next == cap) compact();
+  const std::uint32_t top = next / 64;
   std::uint64_t dist = ~std::uint64_t{0};
-  if (!inserted) {
+  if (cold) {
+    ++occupied;
+    fen_add(top, 1);
+  } else {
     // Distinct lines this processor touched since its last access to this
-    // one: the markers in slots strictly more recent than ours.
-    const auto occupied = static_cast<std::uint32_t>(lines.size());
-    dist = occupied - fen_prefix(li.slot + 1);
-    fen_add(li.slot + 1, -1);
+    // one: the markers in slots after ours.
+    const std::uint32_t w = ls.slot / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (ls.slot % 64);
+    if (w == top) {
+      dist = ones(live[w] & ~((bit << 1) - 1));
+    } else {
+      dist = occupied - fen_prefix(w) - ones(live[w] & ((bit << 1) - 1));
+      fen_add(w, -1);
+      fen_add(top, 1);
+    }
+    live[w] &= ~bit;
   }
-  li.slot = next++;
-  fen_add(li.slot + 1, 1);
+  ls.slot = next;
+  slot_line[next] = id;
+  live[top] |= std::uint64_t{1} << (next % 64);
+  ++next;
   return dist;
 }
 
@@ -128,7 +165,14 @@ SightModel::SightModel(std::unique_ptr<MemModel> inner)
   regions_.set_block_bytes(kLineBytes);
   if (const char* env = std::getenv("PTB_SIGHT_WINDOW_NS");
       env != nullptr && env[0] != '\0') {
-    window_ns_ = std::strtoull(env, nullptr, 10);
+    // A whole decimal number only: a lenient parse would read "abc" as a
+    // 0 ns window and silently drop every false-sharing finding.
+    const char* end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, window_ns_);
+    PTB_CHECK_MSG(ec == std::errc{} && ptr == end,
+                  ("bad PTB_SIGHT_WINDOW_NS \"" + std::string(env) +
+                   "\" (want a whole number of virtual ns)")
+                      .c_str());
   } else {
     const double worst = std::max(
         {spec_.remote_miss_ns, spec_.local_miss_ns, spec_.page_fault_ns, 100.0});
@@ -194,14 +238,14 @@ void SightModel::reset() {
   writes_ = 0;
 }
 
-SightModel::Line& SightModel::line_at(std::size_t block) {
+std::uint32_t SightModel::line_id(std::size_t block) {
   std::int32_t& s = slot_of_block_[block];
   if (s < 0) {
     s = static_cast<std::int32_t>(lines_.size());
     lines_.emplace_back();
     line_block_.push_back(block);
   }
-  return lines_[static_cast<std::size_t>(s)];
+  return static_cast<std::uint32_t>(s);
 }
 
 void SightModel::note_class(int proc, LineClass cls, std::uint64_t now) {
@@ -212,12 +256,18 @@ void SightModel::note_class(int proc, LineClass cls, std::uint64_t now) {
 void SightModel::touch_line(int proc, std::size_t block, bool is_write,
                             std::uint32_t object, bool has_object, std::uint64_t now,
                             bool has_now) {
-  Line& L = line_at(block);
+  const std::uint32_t id = line_id(block);
+  Line& L = lines_[id];
   const auto ph = static_cast<std::size_t>(phase_[static_cast<std::size_t>(proc)]);
   const std::uint64_t bit = std::uint64_t{1} << proc;
   LineUse& total = L.total;
   LineUse& pu = L.phase[ph];
+  // classify() reads the reader/writer masks and the transfer counts. A
+  // re-read by a known reader, or a repeat write by the last writer,
+  // changes none of them.
+  bool reclassify = true;
   if (is_write) {
+    reclassify = L.last_writer != proc;
     total.writes += 1;
     pu.writes += 1;
     total.writers |= bit;
@@ -254,21 +304,24 @@ void SightModel::touch_line(int proc, std::size_t block, bool is_write,
     L.last_writer = static_cast<std::int16_t>(proc);
     L.readers_since_write = 0;
   } else {
+    reclassify = (total.readers & bit) == 0;
     total.reads += 1;
     pu.reads += 1;
     total.readers |= bit;
     pu.readers |= bit;
     L.readers_since_write |= bit;
   }
-  const LineClass c = classify(total);
-  if (c != L.cls) {
-    L.cls = c;
-    note_class(proc, c, has_now ? now : now_hint_);
+  if (reclassify) {
+    const LineClass c = classify(total);
+    if (c != L.cls) {
+      L.cls = c;
+      note_class(proc, c, has_now ? now : now_hint_);
+    }
   }
 
   ReuseTracker& rt = reuse_[static_cast<std::size_t>(proc)];
   bool first_in_phase = false;
-  const std::uint64_t dist = rt.access(block, static_cast<int>(ph), first_in_phase);
+  const std::uint64_t dist = rt.access(id, static_cast<int>(ph), first_in_phase);
   if (first_in_phase) ws_lines_[static_cast<std::size_t>(proc)][ph] += 1;
   if (dist == ~std::uint64_t{0}) {
     ws_cold_[static_cast<std::size_t>(proc)][ph] += 1;
@@ -279,25 +332,27 @@ void SightModel::touch_line(int proc, std::size_t block, bool is_write,
 
 void SightModel::observe(int proc, const void* p, std::size_t n, bool is_write,
                          std::uint64_t now, bool has_now) {
-  const BlockRef br = regions_.resolve(p, nprocs_);
-  if (!br.shared) return;
+  std::size_t first = 0;
+  std::size_t last = 0;
+  int home = 0;
+  std::int32_t region = LineLookaside::kNotShared;
+  if (!regions_.resolve_range_cached(p, n, nprocs_, la_[static_cast<std::size_t>(proc)],
+                                     first, last, home, region))
+    return;
   if (is_write) {
     writes_ += 1;
   } else {
     reads_ += 1;
   }
-  const Region& r = regions_.regions()[br.region];
-  const std::uint32_t granule = region_granule_[br.region];
+  const Region& r = regions_.regions()[static_cast<std::size_t>(region)];
+  const std::uint32_t granule = region_granule_[static_cast<std::size_t>(region)];
   const unsigned shift = regions_.block_shift();
   const auto a = reinterpret_cast<std::uintptr_t>(p);
-  std::uintptr_t end = a + (n > 0 ? n : 1);
-  if (end > r.base + r.bytes) end = r.base + r.bytes;
-  const std::size_t nlines = ((end - 1) >> shift) - (a >> shift);
-  for (std::size_t i = 0; i <= nlines; ++i) {
+  for (std::size_t i = 0; i <= last - first; ++i) {
     const std::uintptr_t first_byte = i == 0 ? a : (((a >> shift) + i) << shift);
     const std::uint32_t object =
         granule != 0 ? static_cast<std::uint32_t>((first_byte - r.base) / granule) : 0;
-    touch_line(proc, br.block + i, is_write, object, granule != 0, now, has_now);
+    touch_line(proc, first + i, is_write, object, granule != 0, now, has_now);
   }
 }
 

@@ -196,7 +196,8 @@ class SightModel final : public MemModel {
 
   /// Cross-object writes by distinct processors closer than this (virtual
   /// ns) count as false sharing. Default: 8× the platform's worst miss
-  /// latency; PTB_SIGHT_WINDOW_NS overrides.
+  /// latency; PTB_SIGHT_WINDOW_NS overrides with a whole decimal number
+  /// (construction aborts on anything else).
   void set_window_ns(std::uint64_t ns) { window_ns_ = ns; }
   std::uint64_t window_ns() const { return window_ns_; }
 
@@ -230,33 +231,44 @@ class SightModel final : public MemModel {
     std::array<std::uint64_t, kNumPhases> phase_hits{};
   };
 
-  /// Exact Olken stack-distance tracker for one processor: a Fenwick tree
-  /// over access-recency slots plus a line → slot map. Amortized O(log n)
-  /// per access; slots are compacted when the slot space fills.
+  /// Exact Olken stack-distance tracker for one processor. Every line the
+  /// processor touched holds one live marker in an access-recency slot; the
+  /// distance of a reuse is the number of markers in later slots. Markers
+  /// live in a bitmap of 64-slot words with a Fenwick tree over the per-word
+  /// counts, and line state sits in a vector indexed by the observer's dense
+  /// line id, so an access costs a few array operations plus O(log(slots/64)).
+  /// When the slot space fills, compaction renumbers the live markers in
+  /// slot order and rebuilds the tree in linear time.
   struct ReuseTracker {
-    struct LineInfo {
+    struct LineState {
       std::uint32_t slot = 0;
-      std::uint8_t phase_mask = 0;  // phases in which this proc touched it
+      std::uint8_t phase_mask = 0;  // phases in which this proc touched it; 0 = never
     };
-    std::unordered_map<std::uint64_t, LineInfo> lines;
-    std::vector<std::uint32_t> fen;  // 1-based Fenwick over cap slots
-    std::uint32_t cap = 0;
-    std::uint32_t next = 0;
+    static constexpr std::uint32_t kNoLine = ~std::uint32_t{0};
+    std::vector<LineState> state;          // by line id
+    std::vector<std::uint32_t> slot_line;  // by slot; valid where the live bit is set
+    std::vector<std::uint64_t> live;       // marker bitmap, cap / 64 words
+    std::vector<std::uint32_t> fen;        // 1-based Fenwick over per-word counts
+    std::uint32_t cap = 0;                 // slots, a multiple of 64
+    std::uint32_t next = 0;                // next free slot
+    std::uint32_t occupied = 0;            // live markers == distinct lines touched
+    std::uint32_t last = kNoLine;          // most recently accessed line id
 
-    void fen_add(std::uint32_t pos, std::int32_t d);
-    std::uint32_t fen_prefix(std::uint32_t pos) const;
+    void fen_add(std::uint32_t word, std::int32_t d);
+    std::uint32_t fen_prefix(std::uint32_t words) const;
     void compact();
-    /// Distance to the previous access of `line` by this proc, or UINT64_MAX
-    /// when cold. Updates the tracker; `first_in_phase` reports whether this
-    /// is the proc's first touch of the line in `phase`.
-    std::uint64_t access(std::uint64_t line, int phase, bool& first_in_phase);
+    /// Distance to the previous access of line `id` by this proc, or
+    /// UINT64_MAX when cold. Updates the tracker; `first_in_phase` reports
+    /// whether this is the proc's first touch of the line in `phase`.
+    std::uint64_t access(std::uint32_t id, int phase, bool& first_in_phase);
   };
 
   void observe(int proc, const void* p, std::size_t n, bool is_write, std::uint64_t now,
                bool has_now);
   void touch_line(int proc, std::size_t block, bool is_write, std::uint32_t object,
                   bool has_object, std::uint64_t now, bool has_now);
-  Line& line_at(std::size_t block);
+  /// Dense id of the line observing `block`, allocating it on first touch.
+  std::uint32_t line_id(std::size_t block);
   void refresh_granules();
   void note_class(int proc, LineClass cls, std::uint64_t now);
 

@@ -6,6 +6,9 @@
 // bridge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -17,6 +20,7 @@
 #include "platform/spec.hpp"
 #include "sight/sight.hpp"
 #include "support/cell_resolver.hpp"
+#include "support/rng.hpp"
 
 namespace ptb {
 namespace {
@@ -205,6 +209,16 @@ TEST(SightWindow, EnvOverrideBeatsThePlatformDefault) {
   EXPECT_GT(sm2->window_ns(), 0u);
 }
 
+// A lenient parse would turn these into a 0 ns or truncated window and
+// silently change the report, so anything but a whole decimal must abort.
+TEST(SightWindow, MalformedEnvOverrideAborts) {
+  for (const char* bad : {"abc", "12x", "-5", "+5", " 100", "1e4", "99999999999999999999"}) {
+    ::setenv("PTB_SIGHT_WINDOW_NS", bad, 1);
+    EXPECT_DEATH((void)make_sight(2), "PTB_SIGHT_WINDOW_NS") << bad;
+  }
+  ::unsetenv("PTB_SIGHT_WINDOW_NS");
+}
+
 // --- reuse distance / working set ---
 
 TEST(SightReuse, ExactStackDistancesAndPerPhaseWorkingSets) {
@@ -257,6 +271,141 @@ TEST(SightReuse, SlotCompactionPreservesDistances) {
   EXPECT_EQ(w.reuse.count(), 40u * 33u - 33u);
   EXPECT_DOUBLE_EQ(w.reuse.stat().max(), 32.0);
   EXPECT_DOUBLE_EQ(w.reuse.stat().mean(), 32.0);  // every reuse sees all others
+}
+
+// Brute-force oracle: per processor, a move-to-front list of the lines it
+// touched; a reuse's stack distance is the line's depth in that list.
+struct ReuseOracle {
+  struct Row {
+    std::uint64_t distinct = 0, cold = 0, count = 0, sum = 0, min = ~0ull, max = 0;
+    std::array<std::uint64_t, Distribution::kBuckets> buckets{};
+  };
+  std::vector<std::vector<std::uint32_t>> stack;        // per proc, most recent first
+  std::vector<std::vector<std::uint8_t>> phase_seen;    // per proc, by line
+  std::vector<std::array<Row, kNumPhases>> rows;        // per (proc, phase)
+  std::vector<std::uint64_t> moves;  // per proc: accesses to a line other than the last
+
+  ReuseOracle(int nprocs, std::size_t nlines)
+      : stack(static_cast<std::size_t>(nprocs)),
+        phase_seen(static_cast<std::size_t>(nprocs), std::vector<std::uint8_t>(nlines)),
+        rows(static_cast<std::size_t>(nprocs)),
+        moves(static_cast<std::size_t>(nprocs)) {}
+
+  void access(int proc, int phase, std::uint32_t line) {
+    const auto pi = static_cast<std::size_t>(proc);
+    Row& row = rows[pi][static_cast<std::size_t>(phase)];
+    std::uint8_t& seen = phase_seen[pi][line];
+    if ((seen & (1u << phase)) == 0) row.distinct += 1;
+    seen = static_cast<std::uint8_t>(seen | (1u << phase));
+    std::vector<std::uint32_t>& s = stack[pi];
+    auto it = std::find(s.begin(), s.end(), line);
+    if (it != s.begin()) moves[pi] += 1;
+    if (it == s.end()) {
+      row.cold += 1;
+      s.insert(s.begin(), line);
+      return;
+    }
+    const auto d = static_cast<std::uint64_t>(it - s.begin());
+    std::rotate(s.begin(), it, it + 1);
+    row.count += 1;
+    row.sum += d;
+    row.min = std::min(row.min, d);
+    row.max = std::max(row.max, d);
+    row.buckets[static_cast<std::size_t>(std::bit_width(d))] += 1;
+  }
+};
+
+// Five processors read and write at random (near their last line, inside a
+// phase-dependent window, or the last line again, with accesses that
+// straddle two lines) and switch phases at random. Every working-set row
+// must equal the oracle's exactly.
+TEST(SightReuse, RandomMultiProcessorTraceMatchesMoveToFrontOracle) {
+  constexpr int kProcs = 5;
+  constexpr std::uint32_t kLines = 1536;
+  constexpr int kAccesses = 80000;
+  alignas(64) static char buf[64 * kLines];
+  auto sm = make_sight(kProcs);
+  sm->register_region(buf, sizeof(buf), HomePolicy::kInterleavedBlock, 0, "fixture.buf");
+  ReuseOracle oracle(kProcs, kLines);
+
+  Rng rng(0x5eed5164);
+  std::array<int, kProcs> phase{};
+  std::array<std::uint32_t, kProcs> last{};
+  for (int p = 0; p < kProcs; ++p) {
+    phase[static_cast<std::size_t>(p)] = static_cast<int>(Phase::kOther);
+    sm->on_phase(p, Phase::kOther);
+  }
+  std::uint64_t now = 0;
+  for (int i = 0; i < kAccesses; ++i) {
+    const int p = static_cast<int>(rng.next_below(kProcs));
+    const auto pi = static_cast<std::size_t>(p);
+    if (rng.next_below(400) == 0) {
+      phase[pi] = static_cast<int>(rng.next_below(kNumPhases));
+      sm->on_phase(p, static_cast<Phase>(phase[pi]));
+    }
+    std::uint32_t line = last[pi];
+    const std::uint64_t pick = rng.next_below(10);
+    if (pick >= 1 && pick < 6) {
+      const auto near = static_cast<std::int64_t>(line) +
+                        static_cast<std::int64_t>(rng.next_below(17)) - 8;
+      line = static_cast<std::uint32_t>(std::clamp<std::int64_t>(near, 0, kLines - 1));
+    } else if (pick >= 6) {
+      line = static_cast<std::uint32_t>(phase[pi]) * 160 +
+             static_cast<std::uint32_t>(rng.next_below(700));
+    }
+    const std::size_t off = std::size_t{line} * 64 + rng.next_below(64);
+    const std::size_t n = 1 + rng.next_below(16);
+    const std::uint64_t kind = rng.next_below(3);
+    if (kind == 0) {
+      sm->on_write(p, buf + off, n, now);
+    } else if (kind == 1) {
+      sm->on_read(p, buf + off, n, now);
+    } else {
+      sm->on_read_shared(p, buf + off, n);
+    }
+    const std::size_t end_line = std::min<std::size_t>((off + n - 1) / 64, kLines - 1);
+    for (std::size_t l = off / 64; l <= end_line; ++l)
+      oracle.access(p, phase[pi], static_cast<std::uint32_t>(l));
+    last[pi] = static_cast<std::uint32_t>(end_line);
+    now += 10;
+  }
+
+  // A tracker holds at most max(1024, 2 x distinct lines) slots and spends
+  // one per access to a line other than its last, so this many accesses
+  // force at least four compactions per processor, each over vacated slots.
+  for (int p = 0; p < kProcs; ++p)
+    ASSERT_GT(oracle.moves[static_cast<std::size_t>(p)], 4u * 2u * kLines) << "proc " << p;
+
+  const SightReport rep = sm->build_report(CellResolver{});
+  std::size_t expected_rows = 0;
+  for (int p = 0; p < kProcs; ++p) {
+    for (int ph = 0; ph < kNumPhases; ++ph) {
+      const ReuseOracle::Row& want =
+          oracle.rows[static_cast<std::size_t>(p)][static_cast<std::size_t>(ph)];
+      const sight::WorkingSetRow* got = nullptr;
+      for (const sight::WorkingSetRow& w : rep.working_set)
+        if (w.proc == p && w.phase == ph) got = &w;
+      if (want.distinct == 0) {
+        EXPECT_EQ(got, nullptr) << "proc " << p << " phase " << ph;
+        continue;
+      }
+      ++expected_rows;
+      ASSERT_NE(got, nullptr) << "proc " << p << " phase " << ph;
+      const std::string at = "proc " + std::to_string(p) + " phase " + std::to_string(ph);
+      EXPECT_EQ(got->distinct_lines, want.distinct) << at;
+      EXPECT_EQ(got->cold, want.cold) << at;
+      ASSERT_EQ(got->reuse.count(), want.count) << at;
+      EXPECT_EQ(got->reuse.stat().sum(), static_cast<double>(want.sum)) << at;
+      if (want.count > 0) {
+        EXPECT_EQ(got->reuse.stat().min(), static_cast<double>(want.min)) << at;
+        EXPECT_EQ(got->reuse.stat().max(), static_cast<double>(want.max)) << at;
+      }
+      for (int b = 0; b < Distribution::kBuckets; ++b)
+        EXPECT_EQ(got->reuse.bucket_count(b), want.buckets[static_cast<std::size_t>(b)])
+            << at << " bucket " << b;
+    }
+  }
+  EXPECT_EQ(rep.working_set.size(), expected_rows);
 }
 
 // --- decorator plumbing ---
@@ -329,17 +478,15 @@ ExperimentSpec sight_spec(const char* platform, Algorithm alg, int n, int nprocs
 // whole algorithm × platform matrix must be bit-identical with and without
 // the observer attached.
 TEST(SightEndToEnd, BitIdenticalAcrossTheAlgorithmPlatformMatrix) {
-  for (const char* platform : {"ideal", "challenge", "origin2000", "paragon",
-                               "typhoon0_hlrc", "typhoon0_sc"}) {
+  for (const std::string& platform : PlatformSpec::all_names()) {
     for (Algorithm alg : all_algorithms()) {
-      ExperimentSpec spec = sight_spec(platform, alg, 600, 4);
+      ExperimentSpec spec = sight_spec(platform.c_str(), alg, 600, 4);
       ExperimentRunner runner;  // shares the cached sequential baseline
       spec.sight = false;
       const ExperimentResult plain = runner.run(spec);
       spec.sight = true;
       const ExperimentResult sighted = runner.run(spec);
-      const std::string cfg =
-          std::string(platform) + "/" + algorithm_name(alg);
+      const std::string cfg = platform + "/" + algorithm_name(alg);
       EXPECT_EQ(sighted.run.total_ns, plain.run.total_ns) << cfg;
       EXPECT_EQ(sighted.treebuild_locks_total, plain.treebuild_locks_total) << cfg;
       EXPECT_EQ(sighted.mem.page_faults, plain.mem.page_faults) << cfg;
