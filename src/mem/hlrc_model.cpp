@@ -8,6 +8,7 @@ HlrcModel::HlrcModel(const PlatformSpec& spec, int nprocs) : MemModel(spec, npro
   PTB_CHECK_MSG(nprocs <= 64, "writer bitmask holds at most 64 processors");
   regions_.set_block_bytes(spec.block_bytes);
   wset_.resize(static_cast<std::size_t>(nprocs));
+  copies_.resize(static_cast<std::size_t>(nprocs));
   log_pos_.assign(static_cast<std::size_t>(nprocs), 0);
   local_cache_.resize(static_cast<std::size_t>(nprocs));
   for (auto& c : local_cache_) c.init(spec.cache_bytes, 64, spec.cache_ways);
@@ -16,30 +17,17 @@ HlrcModel::HlrcModel(const PlatformSpec& spec, int nprocs) : MemModel(spec, npro
 void HlrcModel::register_region(const void* base, std::size_t bytes, HomePolicy policy,
                                 int fixed_home, std::string name) {
   MemModel::register_region(base, bytes, policy, fixed_home, std::move(name));
-  ensure_capacity();
-}
-
-void HlrcModel::ensure_capacity() {
-  const std::size_t need = regions_.total_blocks();
-  if (need <= npages_) return;
-  // Regions must all be registered before simulation starts: the per-proc
-  // arrays are re-laid-out here, which would lose in-flight protocol state.
-  PTB_CHECK_MSG(notices_.empty(), "register all regions before simulating");
-  npages_ = need;
-  std::vector<std::atomic<std::uint32_t>> fresh(npages_);
-  version_.swap(fresh);
-  copy_version_.assign(static_cast<std::size_t>(nprocs_) * npages_, 0);
-  required_version_.assign(static_cast<std::size_t>(nprocs_) * npages_, 0);
-  wmask_.assign(npages_, 0);
+  const std::size_t pages = regions_.total_blocks();
+  version_.grow(pages);
+  for (auto& c : copies_) c.grow(pages);
+  wmask_.grow(pages);
 }
 
 void HlrcModel::reset() {
   MemModel::reset();
   for (auto& c : local_cache_) c.clear();
-  npages_ = 0;
   version_.clear();
-  copy_version_.clear();
-  required_version_.clear();
+  for (auto& c : copies_) c.clear();
   wmask_.clear();
   for (auto& w : wset_) w.clear();
   notices_.clear();
@@ -88,11 +76,10 @@ std::uint64_t HlrcModel::on_rmw(int proc, const void* p, std::uint64_t now) {
     cost += maybe_fault(proc, ref.block, ref.home);
     cost += track_write(proc, ref.block, ref.home);
     // Release the counter page immediately so other processors see it.
-    const std::uint32_t v = version_[ref.block].load(std::memory_order_relaxed) + 1;
-    version_[ref.block].store(v, std::memory_order_release);
+    const std::uint32_t v = bump_version(ref.block);
     notices_.push_back(Notice{static_cast<std::uint32_t>(ref.block), v, proc});
     // Our own copy stays valid at the new version.
-    copy_version_[static_cast<std::size_t>(proc) * npages_ + ref.block] = v + 1;
+    copy_of(proc, ref.block).version = v + 1;
     // The page leaves the interval write set (it was just flushed); the
     // pending wset entry is skipped at release via the cleared mask bit.
     wmask_[ref.block] &= ~(1ull << proc);
@@ -111,11 +98,10 @@ std::uint64_t HlrcModel::flush_interval(int proc) {
   for (std::uint32_t page : ws) {
     if (!(wmask_[page] & bit)) continue;  // flushed by an interleaved rmw path
     wmask_[page] &= ~bit;
-    const std::uint32_t v = version_[page].load(std::memory_order_relaxed) + 1;
-    version_[page].store(v, std::memory_order_release);
+    const std::uint32_t v = bump_version(page);
     notices_.push_back(Notice{page, v, proc});
     // The writer's own copy incorporates its writes at the new version.
-    copy_version_[static_cast<std::size_t>(proc) * npages_ + page] = v + 1;
+    copy_of(proc, page).version = v + 1;
     if (regions_.block_home(page, nprocs_) == proc) {
       // Home pages are written in place: only the write notice is posted.
       cost += static_cast<std::uint64_t>(spec_.notice_ns);
@@ -135,8 +121,7 @@ std::uint64_t HlrcModel::apply_notices(int proc) {
   for (; pos < notices_.size(); ++pos) {
     const Notice& nt = notices_[pos];
     if (nt.writer == proc) continue;
-    std::uint32_t& req =
-        required_version_[static_cast<std::size_t>(proc) * npages_ + nt.page];
+    std::uint32_t& req = copy_of(proc, nt.page).required;
     if (nt.version > req) req = nt.version;
     ++st.notices_received;
     cost += static_cast<std::uint64_t>(spec_.notice_ns);
@@ -165,7 +150,7 @@ HlrcModel::PageState HlrcModel::page_state(const void* p, int proc) {
   const BlockRef ref = regions_.resolve(p, nprocs_);
   if (!ref.shared) return out;
   out.shared_region = true;
-  out.version = version_[ref.block].load(std::memory_order_relaxed);
+  out.version = home_version(ref.block, std::memory_order_relaxed);
   out.valid_for_proc = copy_valid(proc, ref.block, ref.home);
   out.home = ref.home;
   return out;

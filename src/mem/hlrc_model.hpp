@@ -29,6 +29,7 @@
 
 #include "mem/cache_model.hpp"
 #include "mem/model.hpp"
+#include "support/zero_pages.hpp"
 
 namespace ptb {
 
@@ -67,9 +68,9 @@ class HlrcModel final : public MemModel {
   std::uint64_t on_barrier_arrive(int proc, std::uint64_t now) override;
   std::uint64_t on_barrier_depart(int proc, std::uint64_t now) override;
   std::uint64_t on_read_shared(int proc, const void* p, std::size_t n) override {
-    // Safe concurrently: touches only this processor's copy_version_ slice
-    // and atomically loads version_. required_version_ changes only at this
-    // processor's own synchronizations.
+    // Safe concurrently: touches only this processor's copies_ array and
+    // atomically loads version_. A copy's required version changes only at
+    // this processor's own synchronizations.
     return on_read(proc, p, n, 0);
   }
 
@@ -162,26 +163,41 @@ class HlrcModel final : public MemModel {
     std::int32_t writer;
   };
 
-  void ensure_capacity();
-  bool copy_valid(int proc, std::size_t page, int home) const {
+  /// One processor's view of one page; all zero == never fetched.
+  struct PageCopy {
+    std::uint32_t version;   // fetched home version + 1; 0 == no copy
+    std::uint32_t required;  // staleness bound from applied write notices
+  };
+
+  PageCopy& copy_of(int proc, std::size_t page) {
+    return copies_[static_cast<std::size_t>(proc)][page];
+  }
+  /// Home copy's version (atomic: read_shared loads it concurrently).
+  std::uint32_t home_version(std::size_t page, std::memory_order mo) {
+    return std::atomic_ref(version_[page]).load(mo);
+  }
+  std::uint32_t bump_version(std::size_t page) {
+    const std::uint32_t v = home_version(page, std::memory_order_relaxed) + 1;
+    std::atomic_ref(version_[page]).store(v, std::memory_order_release);
+    return v;
+  }
+  bool copy_valid(int proc, std::size_t page, int home) {
     // The home node's copy IS the page: it is always valid (home-based LRC
     // applies remote diffs to it; local reads/writes never fault). This is the
     // reason per-processor pools (LOCAL/PARTREE/SPACE) are cheap on SVM while
     // ORIG's interleaved global array is not.
     if (proc == home) return true;
-    const std::size_t idx = static_cast<std::size_t>(proc) * npages_ + page;
-    const std::uint32_t cv = copy_version_[idx];
-    return cv != 0 && cv - 1 >= required_version_[idx];
+    const PageCopy& c = copy_of(proc, page);
+    return c.version != 0 && c.version - 1 >= c.required;
   }
   /// Fault + fetch if the processor's copy is invalid. Returns cost.
   std::uint64_t maybe_fault(int proc, std::size_t page, int home) {
     if (copy_valid(proc, page, home)) return 0;
     auto& st = stats_[static_cast<std::size_t>(proc)];
     ++st.page_faults;
-    const std::size_t idx = static_cast<std::size_t>(proc) * npages_ + page;
     // Fetch the current home copy; the copy is stamped version+1 so that
-    // version v satisfies any required_version <= v.
-    copy_version_[idx] = version_[page].load(std::memory_order_acquire) + 1;
+    // version v satisfies any required version <= v.
+    copy_of(proc, page).version = home_version(page, std::memory_order_acquire) + 1;
     return static_cast<std::uint64_t>(spec_.page_fault_ns);
   }
   /// First-write-in-interval twin bookkeeping. Returns cost (ordered only).
@@ -191,12 +207,12 @@ class HlrcModel final : public MemModel {
   /// Acquire-side: apply unseen notices. Returns cost.
   std::uint64_t apply_notices(int proc);
 
-  std::size_t npages_ = 0;
-  std::vector<std::atomic<std::uint32_t>> version_;  // per page, home copy
-  // Per proc × page, linearized p * npages_ + page:
-  std::vector<std::uint32_t> copy_version_;      // 0 == no copy
-  std::vector<std::uint32_t> required_version_;  // staleness bound from notices
-  std::vector<std::uint64_t> wmask_;             // per page: bitmask of writers this interval
+  // Per-page state, all zero until touched (ZeroPages): registering a
+  // region grows these without copying, so no layout depends on how many
+  // pages exist.
+  ZeroPages<std::uint32_t> version_;     // per page, home copy
+  std::vector<ZeroPages<PageCopy>> copies_;  // per proc, per page
+  ZeroPages<std::uint64_t> wmask_;       // per page: bitmask of writers this interval
   std::vector<std::vector<std::uint32_t>> wset_;  // per proc: pages written this interval
   std::vector<Notice> notices_;                   // global write-notice log
   std::vector<std::size_t> log_pos_;              // per proc: first unseen notice

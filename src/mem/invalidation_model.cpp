@@ -19,31 +19,14 @@ void InvalidationModel::register_region(const void* base, std::size_t bytes,
                                         HomePolicy policy, int fixed_home,
                                         std::string name) {
   MemModel::register_region(base, bytes, policy, fixed_home, std::move(name));
-  ensure_capacity();
-}
-
-void InvalidationModel::ensure_capacity() {
-  const std::size_t need = regions_.total_blocks();
-  if (need <= nlines_) return;
-  auto fresh = std::make_unique<Line[]>(need);
-  // Region registration happens before parallel execution; state for already
-  // existing blocks is carried over.
-  for (std::size_t i = 0; i < nlines_; ++i) {
-    fresh[i].sharers.store(lines_[i].sharers.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    fresh[i].owner.store(lines_[i].owner.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    fresh[i].epoch.store(lines_[i].epoch.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  }
-  lines_ = std::move(fresh);
-  nlines_ = need;
+  // Region registration happens before parallel execution; existing blocks
+  // keep their state and the new ones start untouched.
+  lines_.grow(regions_.total_blocks());
 }
 
 void InvalidationModel::reset() {
   MemModel::reset();
-  lines_.reset();
-  nlines_ = 0;
+  lines_.clear();
   for (auto& c : caches_) c.clear();
 }
 
@@ -55,8 +38,9 @@ std::uint64_t InvalidationModel::on_read(int proc, const void* p, std::size_t n,
   if (!resolve_blocks(proc, p, n, first, last, home, region)) return 0;
   std::uint64_t cost = 0;
   for (std::size_t b = first; b <= last; ++b) {
-    cost += read_one(proc, b, b == first ? home : later_block_home(region, b),
-                     /*ordered=*/true);
+    cost += read_one(
+        proc, b, [&] { return b == first ? home : later_block_home(region, b); },
+        /*ordered=*/true);
   }
   return cost;
 }
@@ -72,11 +56,10 @@ std::uint64_t InvalidationModel::on_write(int proc, const void* p, std::size_t n
   const std::uint64_t self_bit = 1ull << proc;
   for (std::size_t b = first; b <= last; ++b) {
     ++st.writes;
-    const int h = b == first ? home : later_block_home(region, b);
     Line& line = lines_[b];
-    std::uint32_t epoch = line.epoch.load(std::memory_order_relaxed);
-    const std::uint64_t sharers = line.sharers.load(std::memory_order_relaxed);
-    const std::int32_t owner = line.owner.load(std::memory_order_relaxed);
+    std::uint32_t epoch = line.epoch(std::memory_order_relaxed);
+    const std::uint64_t sharers = line.sharers();
+    const std::int32_t owner = line.owner();
     const bool cached =
         serialized_ ? caches_[static_cast<std::size_t>(proc)].touch_nv(b)
                     : caches_[static_cast<std::size_t>(proc)].touch(b, epoch);
@@ -84,6 +67,8 @@ std::uint64_t InvalidationModel::on_write(int proc, const void* p, std::size_t n
       continue;  // already exclusive-modified: free
     }
     ++st.write_misses;
+    auto home_of = [&] { return b == first ? home : later_block_home(region, b); };
+    const int h = miss_home(proc, home_of);
     const int others = std::popcount(sharers & ~self_bit);
     double c = miss_cost(proc, h, owner) +
                static_cast<double>(others) * spec_.inval_per_sharer_ns;
@@ -93,9 +78,9 @@ std::uint64_t InvalidationModel::on_write(int proc, const void* p, std::size_t n
     // Ownership change: bump the epoch so every other copy goes stale, then
     // refresh our own copy at the new epoch.
     ++epoch;
-    line.epoch.store(epoch, std::memory_order_release);
-    line.sharers.store(self_bit, std::memory_order_relaxed);
-    line.owner.store(proc, std::memory_order_relaxed);
+    line.set_epoch(epoch);
+    line.set_sharers(self_bit);
+    line.set_owner(proc);
     if (serialized_) {
       // Eager mode: the bump invalidates the other copies NOW instead of at
       // their next probe. Own copy refreshes exactly like the lazy re-touch.
@@ -119,16 +104,16 @@ std::uint64_t InvalidationModel::on_rmw(int proc, const void* p, std::uint64_t n
   if (!ref.shared) return static_cast<std::uint64_t>(spec_.local_miss_ns);
   Line& line = lines_[ref.block];
   const std::uint64_t self_bit = 1ull << proc;
-  const std::uint64_t sharers = line.sharers.load(std::memory_order_relaxed);
-  const std::int32_t owner = line.owner.load(std::memory_order_relaxed);
+  const std::uint64_t sharers = line.sharers();
+  const std::int32_t owner = line.owner();
   const int others = std::popcount(sharers & ~self_bit);
   double c = miss_cost(proc, ref.home, owner) +
              static_cast<double>(others) * spec_.inval_per_sharer_ns;
   st.invalidations_sent += static_cast<std::uint64_t>(others);
-  std::uint32_t epoch = line.epoch.load(std::memory_order_relaxed) + 1;
-  line.epoch.store(epoch, std::memory_order_release);
-  line.sharers.store(self_bit, std::memory_order_relaxed);
-  line.owner.store(proc, std::memory_order_relaxed);
+  std::uint32_t epoch = line.epoch(std::memory_order_relaxed) + 1;
+  line.set_epoch(epoch);
+  line.set_sharers(self_bit);
+  line.set_owner(proc);
   if (serialized_) {
     for (int q = 0; q < nprocs_; ++q)
       if (q != proc) caches_[static_cast<std::size_t>(q)].mark_stale(ref.block);
@@ -164,9 +149,9 @@ InvalidationModel::BlockState InvalidationModel::block_state(const void* p) {
   if (!ref.shared) return out;
   out.shared_region = true;
   Line& line = lines_[ref.block];
-  out.sharers = line.sharers.load(std::memory_order_relaxed);
-  out.owner = line.owner.load(std::memory_order_relaxed);
-  out.epoch = line.epoch.load(std::memory_order_relaxed);
+  out.sharers = line.sharers();
+  out.owner = line.owner();
+  out.epoch = line.epoch(std::memory_order_relaxed);
   out.home = ref.home;
   return out;
 }

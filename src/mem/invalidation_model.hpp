@@ -15,10 +15,10 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 
 #include "mem/cache_model.hpp"
 #include "mem/model.hpp"
+#include "support/zero_pages.hpp"
 
 namespace ptb {
 
@@ -49,8 +49,9 @@ class InvalidationModel final : public MemModel {
     if (!resolve_blocks(proc, p, n, first, last, home, region)) return 0;
     std::uint64_t cost = 0;
     for (std::size_t b = first; b <= last; ++b) {
-      cost += read_one(proc, b, b == first ? home : later_block_home(region, b),
-                       /*ordered=*/false);
+      cost += read_one(
+          proc, b, [&] { return b == first ? home : later_block_home(region, b); },
+          /*ordered=*/false);
     }
     return cost;
   }
@@ -110,7 +111,8 @@ class InvalidationModel final : public MemModel {
         b0 = dup_last + 1;
       }
       for (std::size_t b = b0; b <= b1; ++b)
-        cost += probe_one(st, proc, b, regions_.home_in(region, b, nprocs_));
+        cost +=
+            probe_one(st, proc, b, [&] { return regions_.home_in(region, b, nprocs_); });
       done = b1 + 1;
     }
     st.reads += visits;
@@ -141,13 +143,35 @@ class InvalidationModel final : public MemModel {
   BlockState block_state(const void* p);
 
  private:
+  /// Per-block coherence state. Plain words, so an untouched block's zero
+  /// bytes are its initial state (ZeroPages): no sharers, no owner (stored
+  /// as owner + 1), epoch 0. Accessed through std::atomic_ref because the
+  /// read_shared path probes it from several host threads under kParallel.
   struct Line {
-    std::atomic<std::uint64_t> sharers{0};
-    std::atomic<std::int32_t> owner{-1};
-    std::atomic<std::uint32_t> epoch{0};
-  };
+    std::uint64_t sharers_;
+    std::int32_t owner1_;  // owner + 1; 0 == no owner
+    std::uint32_t epoch_;
 
-  void ensure_capacity();
+    std::uint64_t sharers() {
+      return std::atomic_ref(sharers_).load(std::memory_order_relaxed);
+    }
+    void set_sharers(std::uint64_t m) {
+      std::atomic_ref(sharers_).store(m, std::memory_order_relaxed);
+    }
+    void add_sharer(std::uint64_t bit) {
+      std::atomic_ref(sharers_).fetch_or(bit, std::memory_order_relaxed);
+    }
+    std::int32_t owner() {
+      return std::atomic_ref(owner1_).load(std::memory_order_relaxed) - 1;
+    }
+    void set_owner(std::int32_t o) {
+      std::atomic_ref(owner1_).store(o + 1, std::memory_order_relaxed);
+    }
+    std::uint32_t epoch(std::memory_order mo) { return std::atomic_ref(epoch_).load(mo); }
+    void set_epoch(std::uint32_t e) {
+      std::atomic_ref(epoch_).store(e, std::memory_order_release);
+    }
+  };
 
   double miss_cost(int proc, int home, std::int32_t owner) const {
     if (owner >= 0 && owner != proc) return spec_.dirty_miss_ns;  // intervention
@@ -155,43 +179,55 @@ class InvalidationModel final : public MemModel {
     return spec_.remote_miss_ns;
   }
 
+  /// Home of a block that missed: `home_of()` is evaluated only here, and
+  /// never on the bus, where every miss costs the same (miss_cost and the
+  /// remote-miss count ignore the home when uniform_).
+  template <class HomeFn>
+  int miss_home(int proc, HomeFn& home_of) const {
+    return uniform_ ? proc : home_of();
+  }
+
   /// Unordered probe: everything read_one does except the `reads` counter,
   /// which the span path batches. The concurrent-read rules (no owner
-  /// downgrade, no bus occupancy) apply.
-  std::uint64_t probe_one(MemProcStats& st, int proc, std::size_t block, int home) {
+  /// downgrade, no bus occupancy) apply. `home_of()` yields the block's home
+  /// and runs only on a miss (see miss_home).
+  template <class HomeFn>
+  std::uint64_t probe_one(MemProcStats& st, int proc, std::size_t block, HomeFn home_of) {
     Line& line = lines_[block];
     if (serialized_) {
       if (caches_[static_cast<std::size_t>(proc)].touch_nv(block))
         return static_cast<std::uint64_t>(spec_.read_hit_ns);
     } else {
-      const std::uint32_t epoch = line.epoch.load(std::memory_order_acquire);
+      const std::uint32_t epoch = line.epoch(std::memory_order_acquire);
       if (caches_[static_cast<std::size_t>(proc)].touch(block, epoch))
         return static_cast<std::uint64_t>(spec_.read_hit_ns);
     }
     ++st.read_misses;
-    const std::int32_t owner = line.owner.load(std::memory_order_relaxed);
-    const double cost = miss_cost(proc, home, owner);
+    const int home = miss_home(proc, home_of);
+    const double cost = miss_cost(proc, home, line.owner());
     if (!uniform_ && home != proc) ++st.remote_misses;
-    line.sharers.fetch_or(1ull << proc, std::memory_order_relaxed);
+    line.add_sharer(1ull << proc);
     return static_cast<std::uint64_t>(cost);
   }
 
-  std::uint64_t read_one(int proc, std::size_t block, int home, bool ordered) {
+  template <class HomeFn>
+  std::uint64_t read_one(int proc, std::size_t block, HomeFn home_of, bool ordered) {
     auto& st = stats_[static_cast<std::size_t>(proc)];
     ++st.reads;
-    if (!ordered) return probe_one(st, proc, block, home);
+    if (!ordered) return probe_one(st, proc, block, home_of);
     Line& line = lines_[block];
     if (serialized_) {
       if (caches_[static_cast<std::size_t>(proc)].touch_nv(block))
         return static_cast<std::uint64_t>(spec_.read_hit_ns);
     } else {
-      const std::uint32_t epoch = line.epoch.load(std::memory_order_acquire);
+      const std::uint32_t epoch = line.epoch(std::memory_order_acquire);
       if (caches_[static_cast<std::size_t>(proc)].touch(block, epoch))
         return static_cast<std::uint64_t>(spec_.read_hit_ns);
     }
 
     ++st.read_misses;
-    const std::int32_t owner = line.owner.load(std::memory_order_relaxed);
+    const int home = miss_home(proc, home_of);
+    const std::int32_t owner = line.owner();
     double cost = miss_cost(proc, home, owner);
     if (!uniform_ && home != proc) ++st.remote_misses;
     if (owner >= 0 && owner != proc) {
@@ -200,9 +236,9 @@ class InvalidationModel final : public MemModel {
       // read-shared fast path every reader pays the intervention cost and the
       // owner is left for the next ordered write to reset, which keeps the
       // fast path deterministic under any host interleaving.
-      line.owner.store(-1, std::memory_order_relaxed);
+      line.set_owner(-1);
     }
-    line.sharers.fetch_or(1ull << proc, std::memory_order_relaxed);
+    line.add_sharer(1ull << proc);
     if (spec_.bus_occupancy_ns > 0.0) {
       // Bus serialization is only modeled on the globally ordered path, where
       // virtual time is coherent across processors.
@@ -213,8 +249,7 @@ class InvalidationModel final : public MemModel {
 
   bool uniform_;  // bus: every miss costs the same regardless of home
   bool serialized_ = false;  // eager-invalidation mode (see set_serialized)
-  std::unique_ptr<Line[]> lines_;
-  std::size_t nlines_ = 0;
+  ZeroPages<Line> lines_;  // per global block
   std::vector<CacheModel> caches_;
 };
 

@@ -220,7 +220,8 @@ class MemModel {
   /// register_region()/reset() call this: region registration re-sorts the
   /// table (region indices shift) and can turn a cached not-shared line into
   /// a shared one. Protocol transitions never require a flush — the memoized
-  /// mapping is a pure function of the region list.
+  /// mapping is a pure function of the region list. Only lookasides filled
+  /// since their last flush are cleared (LineLookaside::flush).
   void flush_lookasides() {
     for (auto& la : la_) la.flush();
   }

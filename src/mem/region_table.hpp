@@ -43,7 +43,9 @@ struct BlockRef {
 /// registration (region indices shift when the table re-sorts by base, and a
 /// previously-unregistered address may become shared) and table clear — the
 /// owning model flushes there. Unregistered lines are cached too
-/// (region == kNotShared), which is safe for the same reason.
+/// (region == kNotShared), which is safe for the same reason. A flush clears
+/// only a lookaside filled since its last flush, so the registrations of a
+/// run's set-up, before any access, cost nothing here.
 class LineLookaside {
  public:
   static constexpr std::int32_t kNotShared = -1;
@@ -60,7 +62,14 @@ class LineLookaside {
   Entry& slot(std::uintptr_t line) {
     return slots_[static_cast<std::size_t>(line) & (kEntries - 1)];
   }
-  void flush() { slots_.assign(kEntries, Entry{}); }
+  /// Records that an entry was memoized (RegionTable's fill path), so the
+  /// next flush() has something to clear.
+  void note_fill() { filled_ = true; }
+  void flush() {
+    if (!filled_) return;
+    slots_.assign(kEntries, Entry{});
+    filled_ = false;
+  }
 
  private:
   // A force walk touches on the order of a thousand distinct lines per body
@@ -71,6 +80,7 @@ class LineLookaside {
   // the low line bits (lines are sequential).
   static constexpr std::size_t kEntries = 4096;
   std::vector<Entry> slots_ = std::vector<Entry>(kEntries);
+  bool filled_ = false;  // an entry was memoized since the last flush
 };
 
 class RegionTable {
@@ -122,7 +132,10 @@ class RegionTable {
     const auto a = reinterpret_cast<std::uintptr_t>(p);
     const std::uintptr_t line = a >> block_shift_;
     LineLookaside::Entry& e = la.slot(line);
-    if (e.tag != line + 1) fill_lookaside(e, a, line, nprocs);
+    if (e.tag != line + 1) {
+      la.note_fill();
+      fill_lookaside(e, a, line, nprocs);
+    }
     region = e.region;
     if (e.region == LineLookaside::kNotShared) return false;
     const Region& r = regions_[static_cast<std::size_t>(e.region)];

@@ -60,7 +60,8 @@ RaceDetector::RaceDetector(int nprocs, const RegionTable* regions)
 
 void RaceDetector::reset() {
   const auto np = static_cast<std::size_t>(nprocs_);
-  shadow_.assign(regions_->total_blocks(), Shadow{});
+  shadow_.clear();
+  shadow_.grow(regions_->total_blocks());
   rvcs_.clear();
   vc_.assign(np, VectorClock(nprocs_));
   epoch_.assign(np, 0);
@@ -87,8 +88,7 @@ void RaceDetector::reset() {
 void RaceDetector::sync_shadow() {
   // Regions only grow (first_block is append-ordered), so existing shadow
   // indices stay valid.
-  if (shadow_.size() < regions_->total_blocks())
-    shadow_.resize(regions_->total_blocks());
+  shadow_.grow(regions_->total_blocks());
 }
 
 VectorClock& RaceDetector::sync_clock(const void* addr) {
@@ -227,8 +227,7 @@ void RaceDetector::record_race(std::size_t g, const Shadow& s, std::uint64_t fir
   const std::uint32_t held = held_[static_cast<std::size_t>(proc)];
   for (std::uintptr_t lk : locksets_.contents(held)) r.held_locks.push_back(lock_name(lk));
   r.lockset_consistent =
-      s.lockset != kLocksetUnset &&
-      locksets_.intersect(s.lockset, held) != LocksetTable::kEmpty;
+      s.lockset_set() && locksets_.intersect(s.lockset(), held) != LocksetTable::kEmpty;
   report_.top.push_back(std::move(r));
 }
 
@@ -323,7 +322,7 @@ int RaceDetector::on_plain(int proc, const void* p, std::size_t n, bool is_write
     Shadow& s = shadow_[g];
     races += is_write ? check_write(g, s, proc, now) : check_read(g, s, proc, now);
     // Eraser candidate lockset: intersect with the locks held at this access.
-    s.lockset = s.lockset == kLocksetUnset ? held : locksets_.intersect(s.lockset, held);
+    s.set_lockset(s.lockset_set() ? locksets_.intersect(s.lockset(), held) : held);
   }
   return races;
 }

@@ -51,6 +51,7 @@
 
 #include "mem/model.hpp"
 #include "rt/phase.hpp"
+#include "support/zero_pages.hpp"
 
 namespace ptb::race {
 
@@ -189,7 +190,8 @@ class RaceDetector {
   /// reports back to region names. Must outlive the detector.
   RaceDetector(int nprocs, const RegionTable* regions);
 
-  /// Grows the shadow array after a region registration.
+  /// Grows the shadow array after a region registration (new granules start
+  /// untouched; nothing already recorded is copied or cleared).
   void sync_shadow();
   /// Clears all shadow, sync-variable and per-processor state (regions are
   /// the caller's and survive).
@@ -217,15 +219,20 @@ class RaceDetector {
  private:
   /// Per-granule shadow word (24 bytes): last-write epoch, last-read epoch
   /// (or the shared-read sentinel, with `rvc` indexing the per-proc read
-  /// epochs), and the interned Eraser candidate lockset.
+  /// epochs), and the interned Eraser candidate lockset. All zero bytes is
+  /// the untouched state (ZeroPages), so the lockset is stored as id + 1.
   struct Shadow {
     std::uint64_t w = epoch::kNone;
     std::uint64_t r = epoch::kNone;
     std::uint32_t rvc = 0;
-    std::uint32_t lockset = kLocksetUnset;
+    std::uint32_t lockset1 = kLocksetUnset;  // candidate lockset id + 1
+
+    bool lockset_set() const { return lockset1 != kLocksetUnset; }
+    std::uint32_t lockset() const { return lockset1 - 1; }
+    void set_lockset(std::uint32_t id) { lockset1 = id + 1; }
   };
   static constexpr std::uint64_t kReadShared = ~std::uint64_t{0};
-  static constexpr std::uint32_t kLocksetUnset = ~std::uint32_t{0};
+  static constexpr std::uint32_t kLocksetUnset = 0;
 
   /// Inflated read state: full epoch (clock+phase) of each processor's last
   /// read since the last write, kNone where absent.
@@ -249,7 +256,7 @@ class RaceDetector {
 
   int nprocs_;
   const RegionTable* regions_;
-  std::vector<Shadow> shadow_;
+  ZeroPages<Shadow> shadow_;
   std::vector<ReadVC> rvcs_;
   std::vector<VectorClock> vc_;           // per-processor clocks
   std::vector<std::uint64_t> epoch_;      // cached pack(vc_[p][p], phase, p)

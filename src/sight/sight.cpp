@@ -184,14 +184,14 @@ void SightModel::register_region(const void* base, std::size_t bytes, HomePolicy
                                  int fixed_home, std::string name) {
   inner_->register_region(base, bytes, policy, fixed_home, name);
   MemModel::register_region(base, bytes, policy, fixed_home, std::move(name));
-  slot_of_block_.resize(regions_.total_blocks(), -1);
+  slot_of_block_.grow(regions_.total_blocks());
   refresh_granules();
 }
 
 void SightModel::add_observed_region(const void* base, std::size_t bytes,
                                      std::string name) {
   MemModel::register_region(base, bytes, HomePolicy::kFixed, 0, std::move(name));
-  slot_of_block_.resize(regions_.total_blocks(), -1);
+  slot_of_block_.grow(regions_.total_blocks());
   refresh_granules();
 }
 
@@ -239,13 +239,13 @@ void SightModel::reset() {
 }
 
 std::uint32_t SightModel::line_id(std::size_t block) {
-  std::int32_t& s = slot_of_block_[block];
-  if (s < 0) {
-    s = static_cast<std::int32_t>(lines_.size());
+  std::uint32_t& s = slot_of_block_[block];
+  if (s == 0) {
     lines_.emplace_back();
     line_block_.push_back(block);
+    s = static_cast<std::uint32_t>(lines_.size());
   }
-  return static_cast<std::uint32_t>(s);
+  return s - 1;
 }
 
 void SightModel::note_class(int proc, LineClass cls, std::uint64_t now) {

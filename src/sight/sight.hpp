@@ -47,6 +47,7 @@
 #include "rt/phase.hpp"
 #include "support/cell_resolver.hpp"
 #include "support/stats.hpp"
+#include "support/zero_pages.hpp"
 
 namespace ptb::trace {
 class Tracer;
@@ -277,7 +278,7 @@ class SightModel final : public MemModel {
   std::uint64_t window_ns_ = 0;
 
   // Per-line observer state, allocated lazily per touched line.
-  std::vector<std::int32_t> slot_of_block_;  // -1 = untouched
+  ZeroPages<std::uint32_t> slot_of_block_;  // line id + 1; 0 = untouched
   std::vector<Line> lines_;
   std::vector<std::uint64_t> line_block_;  // lines_[i] observes this block
 

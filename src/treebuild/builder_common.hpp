@@ -10,7 +10,13 @@
 namespace ptb {
 
 /// Sizing for node pools. Empirically a Plummer distribution with leaf_cap 8
-/// uses ~0.45 nodes/body; we provision ~1.5x headroom plus a floor.
+/// uses ~0.45 nodes/body, so these are worst-case reservations, not
+/// estimates: the global pool is about 20x a run's use at n=1024, and each
+/// per-processor pool over 100x at n=1024, p=16. The headroom costs only
+/// address space, because NodePool constructs a node when it hands it out and
+/// pages nobody touches are never resident. Capacities set region sizes and
+/// so the block numbering, which is why they stay fixed: shrinking them would
+/// re-baseline every virtual number.
 inline std::size_t global_pool_capacity(int n) {
   return static_cast<std::size_t>(n) + 8192;
 }

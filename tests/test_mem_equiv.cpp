@@ -21,6 +21,7 @@
 #include "mem/model.hpp"
 #include "prof/profile.hpp"
 #include "sim/sim_rt.hpp"
+#include "support/aligned.hpp"
 #include "treebuild/local.hpp"
 #include "treebuild/orig.hpp"
 #include "treebuild/partree.hpp"
@@ -291,6 +292,25 @@ TEST(LineLookaside, RegisterRegionFlushesNegativeEntries) {
                      0, "b");
   m->on_read_shared(0, b.data(), 8);
   EXPECT_EQ(m->proc_stats(0).reads, 1u);
+}
+
+// A flush skips lookasides nobody filled since their last flush; one that
+// was filled again after a flush must still be cleared by the next
+// registration.
+TEST(LineLookaside, RefilledAfterAFlushIsFlushedAgain) {
+  auto m = make_mem_model(PlatformSpec::challenge(), 2);
+  AlignedVec<double> a(512), b(512), c(512);
+  m->register_region(a.data(), a.size() * sizeof(double), HomePolicy::kInterleavedBlock,
+                     0, "a");
+  EXPECT_EQ(m->on_read_shared(1, b.data(), 8), 0u);  // negative entry for b
+  m->register_region(c.data(), c.size() * sizeof(double), HomePolicy::kInterleavedBlock,
+                     0, "c");
+  EXPECT_EQ(m->on_read_shared(1, b.data(), 8), 0u);  // filled again after the flush
+  m->register_region(b.data(), b.size() * sizeof(double), HomePolicy::kInterleavedBlock,
+                     0, "b");
+  EXPECT_GT(m->on_read_shared(1, b.data(), 8), 0u);
+  EXPECT_EQ(m->proc_stats(1).reads, 1u);
+  EXPECT_EQ(m->proc_stats(1).read_misses, 1u);
 }
 
 TEST(LineLookaside, ResetFlushes) {
