@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   // any race turns the exit status into 2 so CI can gate on it.
   const int exit_code = r.race.enabled && r.race.races > 0 ? 2 : 0;
   if (r.race.enabled)
-    std::fprintf(stderr, "%s", race::format_race_report(r.race).c_str());
+    std::fprintf(stderr, "%s\n", race::format_race_report(r.race).c_str());
 
   if (tracer != nullptr) {
     tracer->write_chrome_json(trace_out);

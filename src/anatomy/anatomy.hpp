@@ -26,11 +26,11 @@
 // reference ledger: the per-category deltas attribute the whole speedup
 // loss p·T_p − T_1, with the busy delta being the extra parallel work.
 //
-// Like trace/race/prof/sight this is a pure observer: the Collector only
-// snapshots counters the simulator already keeps, at phase boundaries the
-// simulator already processes, so runs with anatomy on are bit-identical in
-// virtual time and the disabled cost is one null-pointer branch per phase
-// change.
+// Like trace/race/prof/sight this is a SimObserver (sim/observer.hpp): the
+// Collector only snapshots counters the simulator already keeps, at phase
+// boundaries the simulator already processes, so runs with anatomy on are
+// bit-identical in virtual time. It reads no unordered charges, so kParallel
+// keeps overlapping unordered sections while it is attached.
 #pragma once
 
 #include <array>
@@ -42,6 +42,7 @@
 #include "mem/model.hpp"
 #include "platform/spec.hpp"
 #include "rt/phase.hpp"
+#include "sim/observer.hpp"
 #include "trace/metrics.hpp"
 
 namespace ptb::anatomy {
@@ -61,18 +62,20 @@ inline constexpr int kNumCategories = 6;
 
 const char* category_name(Category c);
 
-/// Pure observer the simulator notifies at phase boundaries. It accumulates
+/// Observer the simulator notifies at phase boundaries. It accumulates
 /// per-(processor, phase) deltas of the protocol counters the local/remote
 /// stall split needs; everything else the ledger uses is already in
-/// ProcStats. Reads counters the simulator computed — never writes
-/// simulation state.
-class Collector {
+/// ProcStats.
+class Collector final : public SimObserver {
  public:
-  /// Called by the simulator at the start of every run (reset_run_state).
+  void on_run_start(RunStartEvent e) override { begin_run(e.nprocs); }
+  void on_phase(PhaseEvent e) override { phase_close(e.proc, e.from, e.stats); }
+  void on_finish(PhaseEvent e) override { phase_close(e.proc, e.from, e.stats); }
+
   void begin_run(int nprocs);
 
-  /// Called whenever processor p closes a phase span attributed to `ph`
-  /// (begin_phase and end-of-body), with p's current protocol counters.
+  /// Processor p closed a phase span attributed to `ph` (begin_phase and
+  /// end-of-body), with p's current protocol counters.
   void phase_close(int p, Phase ph, const MemProcStats& now);
 
   bool active() const { return nprocs_ > 0; }

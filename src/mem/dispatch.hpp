@@ -7,11 +7,11 @@
 // call. MemDispatch snapshots the model's MemModelKind once at bind time and
 // routes each hot-path operation through a switch on that tag.
 //
-// Anything the switch cannot prove — the RaceModel decorator (kind() ==
-// kOther) and the PTB_MEM_SLOWPATH=1 oracle (bound with force_virtual) —
-// falls through to the plain virtual call, which keeps decorator hooks and
-// the reference path semantics intact. Bit-identity of the two routes is
-// asserted by tests/test_mem_equiv.cpp.
+// The virtual route serves only the PTB_MEM_SLOWPATH=1 oracle (bound with
+// force_virtual): every run charges one of the three protocol models, and
+// observers watch the charges through sim/observer.hpp rather than wrapping
+// the model. Bit-identity of the two routes is asserted by
+// tests/test_mem_equiv.cpp.
 #pragma once
 
 #include "mem/hlrc_model.hpp"

@@ -6,7 +6,6 @@
 #include "mem/ideal_model.hpp"
 #include "mem/invalidation_model.hpp"
 #include "support/check.hpp"
-#include "trace/trace.hpp"
 
 namespace ptb {
 
@@ -39,17 +38,6 @@ MemProcStats MemModel::total_stats() const {
   for (const auto& s : stats_)
     for (const MemCounterDesc& c : kMemCounters) t.*c.field += s.*c.field;
   return t;
-}
-
-void trace_mem_events(trace::Tracer& tracer, int proc, const MemProcStats& before,
-                      const MemProcStats& after, std::uint64_t ts_ns) {
-  for (const MemCounterDesc& c : kMemCounters) {
-    if (c.event == nullptr) continue;
-    const std::uint64_t delta = after.*c.field - before.*c.field;
-    if (delta != 0)
-      tracer.instant(proc, trace::kCatMem, c.event, ts_ns,
-                     static_cast<std::uint32_t>(delta));
-  }
 }
 
 std::unique_ptr<MemModel> make_mem_model(const PlatformSpec& spec, int nprocs) {

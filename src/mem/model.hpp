@@ -8,6 +8,11 @@
 // (false sharing of ORIG's interleaved arrays, locality of LOCAL's
 // per-processor pools) emerge from the genuine address stream.
 //
+// The three protocol models in this directory are the only subclasses
+// (ptblint's mem-subclass rule). Observers watch charges through
+// sim/observer.hpp instead of wrapping a model, so nothing outside the
+// protocol can change a latency.
+//
 // Thread-safety contract: on_read/on_write/on_rmw/on_acquire/on_release/
 // on_barrier are called from the simulator's one scheduler thread (one call
 // at a time, in virtual-time order). on_read_shared is the force-phase fast
@@ -27,18 +32,11 @@
 
 namespace ptb {
 
-namespace trace {
-class Tracer;
-}
-
-enum class Phase;  // rt/phase.hpp (scoped enum, int underlying type)
-
 /// Identifies the concrete protocol model behind a MemModel* so the
 /// simulator can dispatch the per-access hot path with a switch on this tag
 /// (a direct, devirtualizable call into the `final` class — see
-/// mem/dispatch.hpp) instead of a virtual hop. kOther covers decorators
-/// (RaceModel) and the PTB_MEM_SLOWPATH oracle, which stay on the virtual
-/// path.
+/// mem/dispatch.hpp) instead of a virtual hop. kOther is the
+/// PTB_MEM_SLOWPATH oracle's route, which stays on the virtual path.
 enum class MemModelKind : std::uint8_t { kIdeal, kInvalidation, kHlrc, kOther };
 
 /// True when PTB_MEM_SLOWPATH is set (non-empty, non-"0") in the
@@ -88,14 +86,6 @@ inline constexpr MemCounterDesc kMemCounters[] = {
     {"rmws", nullptr, &MemProcStats::rmws},
 };
 
-/// Emits one trace instant per counter that advanced between `before` and
-/// `after` (count = delta), timestamped `ts_ns` on `proc`'s track. The
-/// simulator snapshots stats around each protocol-model call when tracing is
-/// enabled, so memory events appear in the trace without any hook inside the
-/// models' hot paths.
-void trace_mem_events(trace::Tracer& tracer, int proc, const MemProcStats& before,
-                      const MemProcStats& after, std::uint64_t ts_ns);
-
 class MemModel {
  public:
   explicit MemModel(const PlatformSpec& spec, int nprocs)
@@ -127,7 +117,7 @@ class MemModel {
   /// Protocol work at lock acquisition, *excluding* queueing (the scheduler
   /// models waiting). For SVM protocols this is where write notices are
   /// applied (pages invalidated). `lock` identifies the lock object (the
-  /// protocol models ignore it; analysis decorators key sync state by it).
+  /// protocol models ignore it).
   virtual std::uint64_t on_acquire(int proc, const void* lock, std::uint64_t now) = 0;
   /// Protocol work at lock release (HLRC: diff the interval's written pages
   /// to their homes and post write notices).
@@ -137,24 +127,6 @@ class MemModel {
   /// notices) happens at departure, after all processors arrived.
   virtual std::uint64_t on_barrier_arrive(int proc, std::uint64_t now) = 0;
   virtual std::uint64_t on_barrier_depart(int proc, std::uint64_t now) = 0;
-
-  /// Ordered access to a shared atomic (SimProc::ordered_load /
-  /// ordered_store): `sync` is the atomic object's address, [p, p+n) the
-  /// charged range. Protocol models keep the default (atomics cost the same
-  /// as the plain access they charge); analysis decorators override to see
-  /// the release/acquire structure.
-  virtual std::uint64_t on_atomic(int proc, const void* sync, bool is_write,
-                                  const void* p, std::size_t n, std::uint64_t now) {
-    (void)sync;
-    return is_write ? on_write(proc, p, n, now) : on_read(proc, p, n, now);
-  }
-
-  /// The issuing processor entered application phase `ph`. Pure metadata —
-  /// protocol models ignore it; the race detector stamps it into reports.
-  virtual void on_phase(int proc, Phase ph) {
-    (void)proc;
-    (void)ph;
-  }
 
   // --- concurrent fast path (read-only phases) ---
   virtual std::uint64_t on_read_shared(int proc, const void* p, std::size_t n) = 0;
@@ -175,8 +147,6 @@ class MemModel {
     return cost;
   }
 
-  /// Concrete-model tag for sealed dispatch (mem/dispatch.hpp). Decorators
-  /// keep the default: they must stay on the virtual path.
   /// Execution-serialization promise from the simulator: under the fiber
   /// backend an unordered stretch is host-atomic, which licenses the
   /// eager-invalidation cache mode (see CacheModel::touch_nv). Default off:
@@ -185,15 +155,14 @@ class MemModel {
   /// PTB_MEM_SLOWPATH oracle keeps the lazy scheme as the reference.
   virtual void set_serialized(bool) {}
 
-  virtual MemModelKind kind() const { return MemModelKind::kOther; }
+  /// Concrete-model tag for sealed dispatch (mem/dispatch.hpp).
+  virtual MemModelKind kind() const = 0;
 
   const PlatformSpec& spec() const { return spec_; }
   int nprocs() const { return nprocs_; }
-  virtual const MemProcStats& proc_stats(int p) const {
-    return stats_[static_cast<std::size_t>(p)];
-  }
-  virtual MemProcStats total_stats() const;
-  virtual void reset_stats();
+  const MemProcStats& proc_stats(int p) const { return stats_[static_cast<std::size_t>(p)]; }
+  MemProcStats total_stats() const;
+  void reset_stats();
 
  protected:
   /// Address resolution shared by the protocol models: lookaside-accelerated

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "mem/model.hpp"
 #include "support/check.hpp"
 
 namespace ptb::prof {
@@ -187,6 +188,58 @@ void Recorder::charge(int p, const void* addr, std::uint64_t cost_ns, std::uint6
     ls.tb_inval += inval_delta;
   }
 }
+
+void Recorder::on_charge(ChargeEvent e) {
+  const std::uint64_t end = e.now + e.cost;
+  const std::uint64_t remote = e.after.remote_misses;
+  const Phase ph = phase_[static_cast<std::size_t>(e.proc)];
+  switch (e.kind) {
+    case ChargeKind::kRead:
+    case ChargeKind::kWrite:
+    case ChargeKind::kReadShared:
+      charge(e.proc, e.addr, e.cost, remote - e.before.remote_misses,
+             e.after.invalidations_sent - e.before.invalidations_sent);
+      break;
+    case ChargeKind::kRmw:
+      fetch_add(e.proc, e.addr, e.now, end, ph, remote);
+      break;
+    case ChargeKind::kAcquire:
+      // A queued request left its wait event pending (on_lock_request).
+      if (pending_[static_cast<std::size_t>(e.proc)] != kNoPending)
+        lock_acquired_end(e.proc, end, remote);
+      else
+        lock_acquired(e.proc, e.addr, e.now, end, ph, remote);
+      break;
+    case ChargeKind::kRelease:
+      unlock(e.proc, e.addr, e.now, end, ph, remote);
+      break;
+    case ChargeKind::kBarrierArrive:
+      barrier_arrive(e.proc, e.now, end, ph);
+      break;
+    case ChargeKind::kBarrierDepart:
+      barrier_depart(e.proc, end, remote);
+      break;
+  }
+}
+
+void Recorder::on_lock_request(LockEvent e) {
+  lock_wait_begin(e.proc, e.lock, e.request_ns, phase_[static_cast<std::size_t>(e.proc)]);
+}
+
+void Recorder::on_lock_release(LockEvent e) {
+  // Runs after the releaser's unlock event (its kRelease charge).
+  if (e.peer >= 0) lock_grant(e.peer, e.proc, e.grant_ns);
+}
+
+void Recorder::on_barrier_release(BarrierReleaseEvent e) {
+  barrier_release(e.release_ns, e.last);
+}
+
+void Recorder::on_phase(PhaseEvent e) {
+  phase_begin(e.proc, e.to, e.now, e.stats.remote_misses);
+}
+
+void Recorder::on_finish(PhaseEvent e) { finish(e.proc, e.now, e.stats.remote_misses); }
 
 std::string prof_path_from(const std::string& flag_value) {
   if (!flag_value.empty()) return flag_value;

@@ -28,10 +28,12 @@
 // remains exact: replaying an unmodified capture reproduces the recorded
 // completion time bit-for-bit (checked on every profiled run).
 //
-// Like the tracer and the RaceModel, profiling is opt-in (--prof / PTB_PROF)
-// and a pure observer: the recorder only reads simulator state, so profiled
-// runs are bit-identical in virtual time to unprofiled runs, and with no
-// recorder attached the hot path pays a single null-pointer branch.
+// Like the tracer and the race detector, profiling is opt-in (--prof /
+// PTB_PROF) and a SimObserver (sim/observer.hpp): the recorder only reads
+// events the simulator already computed, so profiled runs are bit-identical
+// in virtual time to unprofiled runs. It reads each unordered charge's own
+// cost (UnorderedUse::kPerElement), so a profiled kParallel run executes
+// unordered sections inline and charges spans element by element.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "rt/phase.hpp"
+#include "sim/observer.hpp"
 
 namespace ptb::prof {
 
@@ -114,12 +117,22 @@ struct Capture {
 };
 
 /// Captures the dependency structure of one SimContext::run. Attach with
-/// SimContext::set_profiler before run(); the simulator drives the hooks
-/// below in virtual-time order (on its scheduler thread), so the recorder
-/// needs no synchronization of its own and never perturbs the execution.
-class Recorder {
+/// SimContext::set_profiler before run(); the simulator's events drive the
+/// capture methods below in virtual-time order (on its scheduler thread), so
+/// the recorder needs no synchronization of its own and never perturbs the
+/// execution.
+class Recorder final : public SimObserver {
  public:
-  /// Called by the simulator at run start; drops any previous capture.
+  UnorderedUse unordered_use() const override { return UnorderedUse::kPerElement; }
+  void on_run_start(RunStartEvent e) override { begin_run(e.nprocs); }
+  void on_charge(ChargeEvent e) override;
+  void on_lock_request(LockEvent e) override;
+  void on_lock_release(LockEvent e) override;
+  void on_barrier_release(BarrierReleaseEvent e) override;
+  void on_phase(PhaseEvent e) override;
+  void on_finish(PhaseEvent e) override;
+
+  /// Drops any previous capture.
   void begin_run(int nprocs);
 
   // --- lock protocol ---

@@ -50,45 +50,76 @@ std::uint32_t LocksetTable::intersect(std::uint32_t a, std::uint32_t b) {
 
 // --- RaceDetector -----------------------------------------------------------
 
-RaceDetector::RaceDetector(int nprocs, const RegionTable* regions)
-    : nprocs_(nprocs), regions_(regions) {
+RaceDetector::RaceDetector(int nprocs) : nprocs_(nprocs) {
   PTB_CHECK(nprocs >= 1 && nprocs < (1 << epoch::kProcBits));
   PTB_CHECK(kNumPhases <= (1 << epoch::kPhaseBits));
-  reset();
-  report_.enabled = true;
-}
-
-void RaceDetector::reset() {
+  regions_.set_block_bytes(kGranuleBytes);
   const auto np = static_cast<std::size_t>(nprocs_);
-  shadow_.clear();
-  shadow_.grow(regions_->total_blocks());
-  rvcs_.clear();
   vc_.assign(np, VectorClock(nprocs_));
   epoch_.assign(np, 0);
   phase_.assign(np, Phase::kOther);
   held_.assign(np, LocksetTable::kEmpty);
-  syncs_.clear();
-  reported_.clear();
-  lock_ids_.clear();
-  for (auto& b : bgen_) {
-    b.acc = VectorClock(nprocs_);
-    b.departing = false;
-  }
-  bcur_ = 0;
+  for (auto& b : bgen_) b.acc = VectorClock(nprocs_);
   pgen_.assign(np, 0);
   // Clocks start at 1 so a packed epoch is never epoch::kNone.
   for (int p = 0; p < nprocs_; ++p) {
     vc_[static_cast<std::size_t>(p)].set(p, 1);
     refresh_epoch(p);
   }
-  report_ = RaceReport{};
   report_.enabled = true;
 }
 
-void RaceDetector::sync_shadow() {
+void RaceDetector::on_region(RegionEvent e) {
+  regions_.add(e.base, e.bytes, e.policy, e.fixed_home, e.name, nprocs_);
   // Regions only grow (first_block is append-ordered), so existing shadow
-  // indices stay valid.
-  shadow_.grow(regions_->total_blocks());
+  // indices stay valid; new granules start untouched.
+  shadow_.grow(regions_.total_blocks());
+}
+
+void RaceDetector::on_charge(ChargeEvent e) {
+  switch (e.kind) {
+    case ChargeKind::kRead:
+    case ChargeKind::kWrite: {
+      const bool is_write = e.kind == ChargeKind::kWrite;
+      if (e.sync != nullptr) {
+        // Atomic accesses synchronize; they are not recorded in the plain
+        // shadow (classic FastTrack — mixed atomic/plain access to the SAME
+        // word would go unchecked, a documented limitation; the builders
+        // never do that).
+        atomic(e.proc, e.sync, is_write);
+        break;
+      }
+      const int races = plain(e.proc, e.addr, e.bytes, is_write, e.now);
+      if (races != 0 && tracer_ != nullptr)
+        tracer_->instant(e.proc, trace::kCatRace, "data-race", e.now,
+                         static_cast<std::uint32_t>(races));
+      break;
+    }
+    case ChargeKind::kRmw:
+      rmw(e.proc, e.addr);
+      break;
+    case ChargeKind::kAcquire:
+      lock_acquire(e.proc, e.addr);
+      break;
+    case ChargeKind::kRelease:
+      lock_release(e.proc, e.addr);
+      break;
+    case ChargeKind::kBarrierArrive:
+      barrier_arrive(e.proc);
+      break;
+    case ChargeKind::kBarrierDepart:
+      barrier_depart(e.proc);
+      break;
+    case ChargeKind::kReadShared:
+      // Never delivered (unordered_use() is kNone), and deliberately
+      // unchecked: see the header comment.
+      break;
+  }
+}
+
+void RaceDetector::on_phase(PhaseEvent e) {
+  phase_[static_cast<std::size_t>(e.proc)] = e.to;
+  refresh_epoch(e.proc);
 }
 
 VectorClock& RaceDetector::sync_clock(const void* addr) {
@@ -107,7 +138,7 @@ void RaceDetector::release_into(int proc, VectorClock& target) {
   refresh_epoch(proc);
 }
 
-void RaceDetector::on_lock_acquire(int proc, const void* lock) {
+void RaceDetector::lock_acquire(int proc, const void* lock) {
   ++report_.lock_acquires;
   const auto pi = static_cast<std::size_t>(proc);
   vc_[pi].join(sync_clock(lock));
@@ -117,14 +148,14 @@ void RaceDetector::on_lock_acquire(int proc, const void* lock) {
   held_[pi] = locksets_.add(held_[pi], key);
 }
 
-void RaceDetector::on_lock_release(int proc, const void* lock) {
+void RaceDetector::lock_release(int proc, const void* lock) {
   ++report_.lock_releases;
   const auto pi = static_cast<std::size_t>(proc);
   release_into(proc, sync_clock(lock));
   held_[pi] = locksets_.remove(held_[pi], reinterpret_cast<std::uintptr_t>(lock));
 }
 
-void RaceDetector::on_atomic(int proc, const void* sync, bool is_write) {
+void RaceDetector::atomic(int proc, const void* sync, bool is_write) {
   ++report_.atomics;
   if (is_write) {
     release_into(proc, sync_clock(sync));  // ordered_store = release
@@ -134,7 +165,7 @@ void RaceDetector::on_atomic(int proc, const void* sync, bool is_write) {
   }
 }
 
-void RaceDetector::on_rmw(int proc, const void* sync) {
+void RaceDetector::rmw(int proc, const void* sync) {
   ++report_.atomics;
   // fetch_add is acquire+release on the counter.
   VectorClock& s = sync_clock(sync);
@@ -142,7 +173,7 @@ void RaceDetector::on_rmw(int proc, const void* sync) {
   release_into(proc, s);
 }
 
-void RaceDetector::on_barrier_arrive(int proc) {
+void RaceDetector::barrier_arrive(int proc) {
   ++report_.barriers;
   BarrierGen& cur = bgen_[bcur_];
   if (cur.departing) {
@@ -157,7 +188,7 @@ void RaceDetector::on_barrier_arrive(int proc) {
   pgen_[static_cast<std::size_t>(proc)] = static_cast<std::uint8_t>(bcur_);
 }
 
-void RaceDetector::on_barrier_depart(int proc) {
+void RaceDetector::barrier_depart(int proc) {
   const auto pi = static_cast<std::size_t>(proc);
   BarrierGen& gen = bgen_[pgen_[pi]];
   gen.departing = true;
@@ -166,14 +197,9 @@ void RaceDetector::on_barrier_depart(int proc) {
   refresh_epoch(proc);
 }
 
-void RaceDetector::on_phase(int proc, Phase ph) {
-  phase_[static_cast<std::size_t>(proc)] = ph;
-  refresh_epoch(proc);
-}
-
 void RaceDetector::granule_location(std::size_t g, std::string& region,
                                     std::size_t& offset) const {
-  for (const Region& r : regions_->regions()) {
+  for (const Region& r : regions_.regions()) {
     if (g >= r.first_block && g < r.first_block + r.num_blocks) {
       region = r.name;
       // The granule grid is aligned to absolute addresses, so recover the
@@ -193,7 +219,7 @@ std::string RaceDetector::lock_name(std::uintptr_t lock) const {
   std::size_t off = 0;
   std::size_t first = 0, last = 0;
   int home = 0;
-  if (regions_->resolve_range(reinterpret_cast<const void*>(lock), 1, nprocs_, first,
+  if (regions_.resolve_range(reinterpret_cast<const void*>(lock), 1, nprocs_, first,
                               last, home)) {
     granule_location(first, region, off);
     std::ostringstream os;
@@ -305,7 +331,7 @@ int RaceDetector::check_read(std::size_t g, Shadow& s, int proc, std::uint64_t n
   return races;
 }
 
-int RaceDetector::on_plain(int proc, const void* p, std::size_t n, bool is_write,
+int RaceDetector::plain(int proc, const void* p, std::size_t n, bool is_write,
                            std::uint64_t now) {
   if (is_write)
     ++report_.checked_writes;
@@ -313,7 +339,7 @@ int RaceDetector::on_plain(int proc, const void* p, std::size_t n, bool is_write
     ++report_.checked_reads;
   std::size_t first = 0, last = 0;
   int home = 0;
-  if (!regions_->resolve_range(p, n, nprocs_, first, last, home))
+  if (!regions_.resolve_range(p, n, nprocs_, first, last, home))
     return 0;  // private memory: single-owner by construction
   const auto pi = static_cast<std::size_t>(proc);
   const std::uint32_t held = held_[pi];
@@ -358,98 +384,6 @@ std::string format_race_report(const RaceReport& r) {
   if (r.races > r.top.size())
     os << "\n  ... " << r.races - r.top.size() << " more racy granule(s) not stored";
   return os.str();
-}
-
-// --- RaceModel --------------------------------------------------------------
-
-RaceModel::RaceModel(std::unique_ptr<MemModel> inner)
-    : MemModel(inner->spec(), inner->nprocs()),
-      inner_(std::move(inner)),
-      detector_(nprocs_, &regions_) {
-  regions_.set_block_bytes(kGranuleBytes);
-}
-
-void RaceModel::register_region(const void* base, std::size_t bytes, HomePolicy policy,
-                                int fixed_home, std::string name) {
-  inner_->register_region(base, bytes, policy, fixed_home, name);
-  MemModel::register_region(base, bytes, policy, fixed_home, std::move(name));
-  detector_.sync_shadow();
-}
-
-void RaceModel::reset() {
-  inner_->reset();
-  MemModel::reset();
-  detector_.reset();
-}
-
-void RaceModel::note_races(int proc, int new_races, std::uint64_t now) {
-  if (new_races != 0 && tracer_ != nullptr)
-    tracer_->instant(proc, ptb::trace::kCatRace, "data-race", now,
-                     static_cast<std::uint32_t>(new_races));
-}
-
-std::uint64_t RaceModel::on_read(int proc, const void* p, std::size_t n,
-                                 std::uint64_t now) {
-  note_races(proc, detector_.on_plain(proc, p, n, /*is_write=*/false, now), now);
-  return inner_->on_read(proc, p, n, now);
-}
-
-std::uint64_t RaceModel::on_write(int proc, const void* p, std::size_t n,
-                                  std::uint64_t now) {
-  note_races(proc, detector_.on_plain(proc, p, n, /*is_write=*/true, now), now);
-  return inner_->on_write(proc, p, n, now);
-}
-
-std::uint64_t RaceModel::on_rmw(int proc, const void* p, std::uint64_t now) {
-  detector_.on_rmw(proc, p);
-  return inner_->on_rmw(proc, p, now);
-}
-
-std::uint64_t RaceModel::on_acquire(int proc, const void* lock, std::uint64_t now) {
-  detector_.on_lock_acquire(proc, lock);
-  return inner_->on_acquire(proc, lock, now);
-}
-
-std::uint64_t RaceModel::on_release(int proc, const void* lock, std::uint64_t now) {
-  detector_.on_lock_release(proc, lock);
-  return inner_->on_release(proc, lock, now);
-}
-
-std::uint64_t RaceModel::on_barrier_arrive(int proc, std::uint64_t now) {
-  detector_.on_barrier_arrive(proc);
-  return inner_->on_barrier_arrive(proc, now);
-}
-
-std::uint64_t RaceModel::on_barrier_depart(int proc, std::uint64_t now) {
-  detector_.on_barrier_depart(proc);
-  return inner_->on_barrier_depart(proc, now);
-}
-
-std::uint64_t RaceModel::on_atomic(int proc, const void* sync, bool is_write,
-                                   const void* p, std::size_t n, std::uint64_t now) {
-  // Atomic accesses synchronize; they are not recorded in the plain shadow
-  // (classic FastTrack — mixed atomic/plain access to the SAME word would go
-  // unchecked, a documented limitation; the builders never do that).
-  detector_.on_atomic(proc, sync, is_write);
-  return inner_->on_atomic(proc, sync, is_write, p, n, now);
-}
-
-std::uint64_t RaceModel::on_read_shared(int proc, const void* p, std::size_t n) {
-  // Deliberately unchecked (see the header comment): phase-structure
-  // invariant, concurrent call context, and per-proc-only state allowed.
-  return inner_->on_read_shared(proc, p, n);
-}
-
-std::uint64_t RaceModel::on_read_shared_span(int proc, const void* p, std::size_t n,
-                                             std::size_t stride, std::size_t count) {
-  // Unchecked like the scalar form; the wrapped model's own span fast path
-  // still applies underneath the decorator.
-  return inner_->on_read_shared_span(proc, p, n, stride, count);
-}
-
-void RaceModel::on_phase(int proc, Phase ph) {
-  detector_.on_phase(proc, ph);
-  inner_->on_phase(proc, ph);
 }
 
 bool default_race_enabled() {

@@ -10,14 +10,15 @@
 // per-granule candidate lockset enriches each report with *why* (which locks,
 // if any, consistently protected the location).
 //
-// It plugs into the simulator as a MemModel decorator (RaceModel wraps the
-// platform's protocol model), driven by the hooks that already exist —
-// on_read/on_write/on_rmw/on_acquire/on_release/on_barrier_* — all of which
-// the simulator calls from its one scheduler thread in virtual-time order,
+// It plugs into the simulator as a SimObserver (sim/observer.hpp): the
+// ordered charges (read/write, ordered_load/_store, fetch_add, lock acquire
+// and release, barrier arrive and depart) and phase changes drive it, all
+// delivered on the simulator's one scheduler thread in virtual-time order,
 // so the detector needs no synchronization of its own and every run is
-// deterministic. Opt-in via --race / PTB_RACE; when disabled the raw
-// protocol model is installed and the only residual cost is the no-op
-// virtual on_phase call per phase change (bench_sched_micro guards this).
+// deterministic. It ignores unordered charges, so kParallel keeps
+// overlapping unordered sections under --race. Opt-in via --race /
+// PTB_RACE; when disabled nothing is attached and each operation pays the
+// simulator's empty-observer-list check.
 //
 // The happens-before edges mirror the simulated synchronization exactly:
 //
@@ -35,7 +36,7 @@
 // phase legitimately reads stale per-body charge slots it is concurrently
 // re-claiming, resolved by the phase barrier.
 //
-// Shadow state is keyed through the decorator's own RegionTable at a 4-byte
+// Shadow state is keyed through the detector's own RegionTable at a 4-byte
 // granule (SPACE's per-processor count slots are adjacent int32s; an 8-byte
 // granule would report false sharing as racing). See docs/ANALYSIS.md for
 // the shadow-word layout and how to read a report.
@@ -43,14 +44,14 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "mem/model.hpp"
+#include "mem/region_table.hpp"
 #include "rt/phase.hpp"
+#include "sim/observer.hpp"
 #include "support/zero_pages.hpp"
 
 namespace ptb::race {
@@ -183,38 +184,20 @@ std::string format_race_report(const RaceReport& r);
 
 // --- the detector -----------------------------------------------------------
 
-class RaceDetector {
+/// The detector, attached by SimContext when race detection is on. Its own
+/// RegionTable (block_bytes == kGranuleBytes), filled from the simulator's
+/// region registrations, maps access addresses to shadow indices and race
+/// reports back to region names.
+class RaceDetector final : public SimObserver {
  public:
-  /// `regions` is the caller's granule-sized RegionTable (block_bytes ==
-  /// kGranuleBytes); it maps access addresses to shadow indices and race
-  /// reports back to region names. Must outlive the detector.
-  RaceDetector(int nprocs, const RegionTable* regions);
-
-  /// Grows the shadow array after a region registration (new granules start
-  /// untouched; nothing already recorded is copied or cleared).
-  void sync_shadow();
-  /// Clears all shadow, sync-variable and per-processor state (regions are
-  /// the caller's and survive).
-  void reset();
-
-  // Called in virtual-time order (on the simulator's scheduler thread).
-  // Each returns the number of *new* distinct races recorded (0 almost
-  // always), so the caller can emit trace instants without re-diffing.
-  int on_plain(int proc, const void* p, std::size_t n, bool is_write, std::uint64_t now);
-  void on_atomic(int proc, const void* sync, bool is_write);
-  void on_rmw(int proc, const void* sync);
-  void on_lock_acquire(int proc, const void* lock);
-  void on_lock_release(int proc, const void* lock);
-  void on_barrier_arrive(int proc);
-  void on_barrier_depart(int proc);
-  void on_phase(int proc, Phase ph);
+  explicit RaceDetector(int nprocs);
 
   const RaceReport& report() const { return report_; }
-  const VectorClock& proc_clock(int p) const {
-    return vc_[static_cast<std::size_t>(p)];
-  }
-  std::uint32_t held_lockset(int p) const { return held_[static_cast<std::size_t>(p)]; }
-  LocksetTable& locksets() { return locksets_; }
+
+  void on_run_start(RunStartEvent e) override { tracer_ = e.tracer; }
+  void on_region(RegionEvent e) override;
+  void on_charge(ChargeEvent e) override;
+  void on_phase(PhaseEvent e) override;
 
  private:
   /// Per-granule shadow word (24 bytes): last-write epoch, last-read epoch
@@ -240,6 +223,16 @@ class RaceDetector {
     std::vector<std::uint64_t> e;
   };
 
+  // Each of the following runs in virtual-time order. plain() returns the
+  // number of *new* distinct races recorded (0 almost always).
+  int plain(int proc, const void* p, std::size_t n, bool is_write, std::uint64_t now);
+  void atomic(int proc, const void* sync, bool is_write);
+  void rmw(int proc, const void* sync);
+  void lock_acquire(int proc, const void* lock);
+  void lock_release(int proc, const void* lock);
+  void barrier_arrive(int proc);
+  void barrier_depart(int proc);
+
   std::uint64_t cur_epoch(int p) const { return epoch_[static_cast<std::size_t>(p)]; }
   void refresh_epoch(int p) {
     const auto i = static_cast<std::size_t>(p);
@@ -255,7 +248,8 @@ class RaceDetector {
   std::string lock_name(std::uintptr_t lock) const;
 
   int nprocs_;
-  const RegionTable* regions_;
+  RegionTable regions_;
+  trace::Tracer* tracer_ = nullptr;  // emits a `race` instant per new race
   ZeroPages<Shadow> shadow_;
   std::vector<ReadVC> rvcs_;
   std::vector<VectorClock> vc_;           // per-processor clocks
@@ -285,56 +279,6 @@ class RaceDetector {
   std::vector<std::uint8_t> pgen_;  // which slot each processor arrived in
 
   RaceReport report_;
-};
-
-// --- the MemModel decorator -------------------------------------------------
-
-/// Wraps the platform's protocol model: every hook first drives the
-/// detector, then forwards to the wrapped model (whose latencies are
-/// returned unchanged, so --race never perturbs virtual time). Statistics
-/// accessors forward to the wrapped model too — results are identical with
-/// and without the decorator.
-class RaceModel final : public MemModel {
- public:
-  explicit RaceModel(std::unique_ptr<MemModel> inner);
-
-  void register_region(const void* base, std::size_t bytes, HomePolicy policy,
-                       int fixed_home, std::string name) override;
-  void reset() override;
-
-  std::uint64_t on_read(int proc, const void* p, std::size_t n, std::uint64_t now) override;
-  std::uint64_t on_write(int proc, const void* p, std::size_t n,
-                         std::uint64_t now) override;
-  std::uint64_t on_rmw(int proc, const void* p, std::uint64_t now) override;
-  std::uint64_t on_acquire(int proc, const void* lock, std::uint64_t now) override;
-  std::uint64_t on_release(int proc, const void* lock, std::uint64_t now) override;
-  std::uint64_t on_barrier_arrive(int proc, std::uint64_t now) override;
-  std::uint64_t on_barrier_depart(int proc, std::uint64_t now) override;
-  std::uint64_t on_atomic(int proc, const void* sync, bool is_write, const void* p,
-                          std::size_t n, std::uint64_t now) override;
-  std::uint64_t on_read_shared(int proc, const void* p, std::size_t n) override;
-  std::uint64_t on_read_shared_span(int proc, const void* p, std::size_t n,
-                                    std::size_t stride, std::size_t count) override;
-  void on_phase(int proc, Phase ph) override;
-  void set_serialized(bool s) override { inner_->set_serialized(s); }
-
-  const MemProcStats& proc_stats(int p) const override { return inner_->proc_stats(p); }
-  MemProcStats total_stats() const override { return inner_->total_stats(); }
-  void reset_stats() override { inner_->reset_stats(); }
-
-  const RaceReport& report() const { return detector_.report(); }
-  RaceDetector& detector() { return detector_; }
-  MemModel& inner() { return *inner_; }
-
-  /// Optional: emit a `race` category instant on each newly detected race.
-  void set_tracer(ptb::trace::Tracer* t) { tracer_ = t; }
-
- private:
-  void note_races(int proc, int new_races, std::uint64_t now);
-
-  std::unique_ptr<MemModel> inner_;
-  RaceDetector detector_;
-  ptb::trace::Tracer* tracer_ = nullptr;
 };
 
 /// True when PTB_RACE is set to a non-empty, non-"0" value (cached).

@@ -154,9 +154,9 @@ std::uint64_t SightModel::ReuseTracker::access(std::uint32_t id, int phase,
 
 // --- SightModel -------------------------------------------------------------
 
-SightModel::SightModel(std::unique_ptr<MemModel> inner)
-    : MemModel(inner->spec(), inner->nprocs()),
-      inner_(std::move(inner)),
+SightModel::SightModel(const PlatformSpec& spec, int nprocs)
+    : nprocs_(nprocs),
+      la_(static_cast<std::size_t>(nprocs_)),
       phase_(static_cast<std::size_t>(nprocs_), Phase::kOther),
       reuse_(static_cast<std::size_t>(nprocs_)),
       ws_lines_(static_cast<std::size_t>(nprocs_)),
@@ -175,24 +175,27 @@ SightModel::SightModel(std::unique_ptr<MemModel> inner)
                       .c_str());
   } else {
     const double worst = std::max(
-        {spec_.remote_miss_ns, spec_.local_miss_ns, spec_.page_fault_ns, 100.0});
+        {spec.remote_miss_ns, spec.local_miss_ns, spec.page_fault_ns, 100.0});
     window_ns_ = static_cast<std::uint64_t>(std::llround(8.0 * worst));
   }
 }
 
-void SightModel::register_region(const void* base, std::size_t bytes, HomePolicy policy,
-                                 int fixed_home, std::string name) {
-  inner_->register_region(base, bytes, policy, fixed_home, name);
-  MemModel::register_region(base, bytes, policy, fixed_home, std::move(name));
+void SightModel::add_region(const void* base, std::size_t bytes, HomePolicy policy,
+                            int fixed_home, std::string name) {
+  regions_.add(base, bytes, policy, fixed_home, std::move(name), nprocs_);
+  // The table re-sorts on add, so cached line mappings may be stale.
+  for (LineLookaside& la : la_) la.flush();
   slot_of_block_.grow(regions_.total_blocks());
   refresh_granules();
 }
 
+void SightModel::on_region(RegionEvent e) {
+  add_region(e.base, e.bytes, e.policy, e.fixed_home, e.name);
+}
+
 void SightModel::add_observed_region(const void* base, std::size_t bytes,
                                      std::string name) {
-  MemModel::register_region(base, bytes, HomePolicy::kFixed, 0, std::move(name));
-  slot_of_block_.grow(regions_.total_blocks());
-  refresh_granules();
+  add_region(base, bytes, HomePolicy::kFixed, 0, std::move(name));
 }
 
 void SightModel::set_object_granule(const std::string& prefix, std::size_t bytes) {
@@ -218,24 +221,6 @@ void SightModel::refresh_granules() {
         region_granule_[i] = static_cast<std::uint32_t>(bytes);
     }
   }
-}
-
-void SightModel::reset() {
-  inner_->reset();
-  MemModel::reset();
-  slot_of_block_.clear();
-  lines_.clear();
-  line_block_.clear();
-  region_granule_.clear();
-  findings_.clear();
-  phase_.assign(static_cast<std::size_t>(nprocs_), Phase::kOther);
-  reuse_.assign(static_cast<std::size_t>(nprocs_), ReuseTracker{});
-  ws_lines_.assign(static_cast<std::size_t>(nprocs_), {});
-  ws_cold_.assign(static_cast<std::size_t>(nprocs_), {});
-  reuse_dist_.assign(static_cast<std::size_t>(nprocs_), {});
-  now_hint_ = 0;
-  reads_ = 0;
-  writes_ = 0;
 }
 
 std::uint32_t SightModel::line_id(std::size_t block) {
@@ -356,79 +341,41 @@ void SightModel::observe(int proc, const void* p, std::size_t n, bool is_write,
   }
 }
 
-std::uint64_t SightModel::on_read(int proc, const void* p, std::size_t n,
-                                  std::uint64_t now) {
-  now_hint_ = now;
-  observe(proc, p, n, /*is_write=*/false, now, /*has_now=*/true);
-  return inner_->on_read(proc, p, n, now);
+void SightModel::on_charge(ChargeEvent e) {
+  if (e.kind == ChargeKind::kReadShared) {
+    // No virtual timestamp on the unordered path (the clock has not folded
+    // the pending cost); now_hint_ gives trace instants a consistent,
+    // slightly-stale timestamp.
+    const char* a = static_cast<const char*>(e.addr);
+    for (std::size_t i = 0; i < e.count; ++i)
+      observe(e.proc, a + i * e.stride, e.bytes, /*is_write=*/false, now_hint_,
+              /*has_now=*/false);
+    return;
+  }
+  now_hint_ = e.now;
+  switch (e.kind) {
+    case ChargeKind::kRead:
+    case ChargeKind::kWrite:
+    case ChargeKind::kRmw:
+      observe(e.proc, e.addr, e.bytes, e.kind != ChargeKind::kRead, e.now, /*has_now=*/true);
+      break;
+    case ChargeKind::kAcquire:
+      // A lock acquire is a read-modify-write of the lock word; record the
+      // read first so contended locks classify migratory, not ping-pong.
+      observe(e.proc, e.addr, sizeof(void*), /*is_write=*/false, e.now, /*has_now=*/true);
+      observe(e.proc, e.addr, sizeof(void*), /*is_write=*/true, e.now, /*has_now=*/true);
+      break;
+    case ChargeKind::kRelease:
+      observe(e.proc, e.addr, sizeof(void*), /*is_write=*/true, e.now, /*has_now=*/true);
+      break;
+    case ChargeKind::kBarrierArrive:
+    case ChargeKind::kBarrierDepart:
+    case ChargeKind::kReadShared:
+      break;  // barriers touch no line; they only advance the time hint
+  }
 }
 
-std::uint64_t SightModel::on_write(int proc, const void* p, std::size_t n,
-                                   std::uint64_t now) {
-  now_hint_ = now;
-  observe(proc, p, n, /*is_write=*/true, now, /*has_now=*/true);
-  return inner_->on_write(proc, p, n, now);
-}
-
-std::uint64_t SightModel::on_rmw(int proc, const void* p, std::uint64_t now) {
-  now_hint_ = now;
-  observe(proc, p, sizeof(std::uint64_t), /*is_write=*/true, now, /*has_now=*/true);
-  return inner_->on_rmw(proc, p, now);
-}
-
-std::uint64_t SightModel::on_acquire(int proc, const void* lock, std::uint64_t now) {
-  now_hint_ = now;
-  // A lock acquire is a read-modify-write of the lock word; record the read
-  // first so contended locks classify migratory, not ping-pong.
-  observe(proc, lock, sizeof(void*), /*is_write=*/false, now, /*has_now=*/true);
-  observe(proc, lock, sizeof(void*), /*is_write=*/true, now, /*has_now=*/true);
-  return inner_->on_acquire(proc, lock, now);
-}
-
-std::uint64_t SightModel::on_release(int proc, const void* lock, std::uint64_t now) {
-  now_hint_ = now;
-  observe(proc, lock, sizeof(void*), /*is_write=*/true, now, /*has_now=*/true);
-  return inner_->on_release(proc, lock, now);
-}
-
-std::uint64_t SightModel::on_barrier_arrive(int proc, std::uint64_t now) {
-  now_hint_ = now;
-  return inner_->on_barrier_arrive(proc, now);
-}
-
-std::uint64_t SightModel::on_barrier_depart(int proc, std::uint64_t now) {
-  now_hint_ = now;
-  return inner_->on_barrier_depart(proc, now);
-}
-
-std::uint64_t SightModel::on_atomic(int proc, const void* sync, bool is_write,
-                                    const void* p, std::size_t n, std::uint64_t now) {
-  now_hint_ = now;
-  observe(proc, p, n, is_write, now, /*has_now=*/true);
-  return inner_->on_atomic(proc, sync, is_write, p, n, now);
-}
-
-std::uint64_t SightModel::on_read_shared(int proc, const void* p, std::size_t n) {
-  // No virtual timestamp on the concurrent fast path; execution is
-  // serialized whenever sight is attached (the simulator disables section
-  // overlap for observers), so plain updates are safe and now_hint_ gives
-  // trace instants a consistent, slightly-stale timestamp.
-  observe(proc, p, n, /*is_write=*/false, now_hint_, /*has_now=*/false);
-  return inner_->on_read_shared(proc, p, n);
-}
-
-std::uint64_t SightModel::on_read_shared_span(int proc, const void* p, std::size_t n,
-                                              std::size_t stride, std::size_t count) {
-  const char* a = static_cast<const char*>(p);
-  for (std::size_t i = 0; i < count; ++i)
-    observe(proc, a + i * stride, n, /*is_write=*/false, now_hint_, /*has_now=*/false);
-  return inner_->on_read_shared_span(proc, p, n, stride, count);
-}
-
-void SightModel::on_phase(int proc, Phase ph) {
-  phase_[static_cast<std::size_t>(proc)] = ph;
-  inner_->on_phase(proc, ph);
-}
+void SightModel::on_phase(PhaseEvent e) { phase_[static_cast<std::size_t>(e.proc)] = e.to; }
 
 // --- report assembly --------------------------------------------------------
 

@@ -24,27 +24,26 @@
 //       stack distances over 64 B lines, log2-bucketed into the mergeable
 //       Distribution machinery) and working-set sizes (distinct lines).
 //
-// Like RaceModel, SightModel is an opt-in MemModel decorator (--sight /
-// PTB_SIGHT): every hook first updates observer state, then forwards to the
-// wrapped model and returns its latency unchanged, so sighted runs are
-// bit-identical in virtual time. When disabled the only residual cost is a
-// null-pointer branch in the simulator. Unlike RaceModel it DOES observe
-// the concurrent read_shared fast path: attaching any observer forces the
-// parallel backend to run unordered sections inline (sim_rt.cpp), so host
-// execution is serialized whenever sight is on and plain state updates are
-// safe everywhere.
+// Like the race detector, SightModel is an opt-in SimObserver (--sight /
+// PTB_SIGHT, sim/observer.hpp): it reads charges the simulator has already
+// made, so sighted runs are bit-identical in virtual time, and when disabled
+// nothing is attached. Unlike the race detector it DOES read the unordered
+// read_shared charges, which makes the parallel backend run unordered
+// sections inline (sim_rt.hpp), so host execution is serialized whenever
+// sight is on and plain state updates are safe everywhere.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "mem/model.hpp"
+#include "mem/region_table.hpp"
+#include "platform/spec.hpp"
 #include "rt/phase.hpp"
+#include "sim/observer.hpp"
 #include "support/cell_resolver.hpp"
 #include "support/stats.hpp"
 #include "support/zero_pages.hpp"
@@ -148,43 +147,23 @@ std::string sight_json(const SightReport& r);
 /// per-proc/phase working sets and reuse distributions) into the registry.
 void ingest_sight_metrics(trace::MetricsRegistry& m, const SightReport& r);
 
-// --- the MemModel decorator -------------------------------------------------
+// --- the observer -----------------------------------------------------------
 
-/// Wraps the platform's protocol model (outside RaceModel when both are on):
-/// every hook updates the observer, forwards to the wrapped model, and
-/// returns its latency unchanged. Statistics accessors forward too.
-class SightModel final : public MemModel {
+/// Attached by SimContext when sight is on. Keeps its own 64-byte-line
+/// RegionTable, filled from the simulator's region registrations.
+class SightModel final : public SimObserver {
  public:
-  explicit SightModel(std::unique_ptr<MemModel> inner);
+  /// The platform sets the default false-sharing window.
+  SightModel(const PlatformSpec& spec, int nprocs);
 
-  void register_region(const void* base, std::size_t bytes, HomePolicy policy,
-                       int fixed_home, std::string name) override;
-  void reset() override;
+  UnorderedUse unordered_use() const override { return UnorderedUse::kSpans; }
+  void on_run_start(RunStartEvent e) override { tracer_ = e.tracer; }
+  void on_region(RegionEvent e) override;
+  void on_charge(ChargeEvent e) override;
+  void on_phase(PhaseEvent e) override;
 
-  std::uint64_t on_read(int proc, const void* p, std::size_t n, std::uint64_t now) override;
-  std::uint64_t on_write(int proc, const void* p, std::size_t n,
-                         std::uint64_t now) override;
-  std::uint64_t on_rmw(int proc, const void* p, std::uint64_t now) override;
-  std::uint64_t on_acquire(int proc, const void* lock, std::uint64_t now) override;
-  std::uint64_t on_release(int proc, const void* lock, std::uint64_t now) override;
-  std::uint64_t on_barrier_arrive(int proc, std::uint64_t now) override;
-  std::uint64_t on_barrier_depart(int proc, std::uint64_t now) override;
-  std::uint64_t on_atomic(int proc, const void* sync, bool is_write, const void* p,
-                          std::size_t n, std::uint64_t now) override;
-  std::uint64_t on_read_shared(int proc, const void* p, std::size_t n) override;
-  std::uint64_t on_read_shared_span(int proc, const void* p, std::size_t n,
-                                    std::size_t stride, std::size_t count) override;
-  void on_phase(int proc, Phase ph) override;
-  void set_serialized(bool s) override { inner_->set_serialized(s); }
-
-  const MemProcStats& proc_stats(int p) const override { return inner_->proc_stats(p); }
-  MemProcStats total_stats() const override { return inner_->total_stats(); }
-  void reset_stats() override { inner_->reset_stats(); }
-
-  MemModel& inner() { return *inner_; }
-
-  /// Registers a region in the observer's table ONLY — not in the wrapped
-  /// protocol model, so observing it cannot perturb virtual time. Used for
+  /// Registers a region in the observer's table ONLY — the protocol model
+  /// never sees it, so observing it cannot perturb virtual time. Used for
   /// memory the protocol never charges but sight attributes (the lock
   /// table: lock words are scheduler objects, yet their lines classify).
   void add_observed_region(const void* base, std::size_t bytes, std::string name);
@@ -201,10 +180,6 @@ class SightModel final : public MemModel {
   /// (construction aborts on anything else).
   void set_window_ns(std::uint64_t ns) { window_ns_ = ns; }
   std::uint64_t window_ns() const { return window_ns_; }
-
-  /// Optional: emit a `sight` category instant at each line-class
-  /// transition (Perfetto shows when a line goes migratory).
-  void set_tracer(ptb::trace::Tracer* t) { tracer_ = t; }
 
   /// Builds the report. `cells` may be empty (all lines attribute to their
   /// region); provenance fields are left for the caller.
@@ -264,6 +239,8 @@ class SightModel final : public MemModel {
     std::uint64_t access(std::uint32_t id, int phase, bool& first_in_phase);
   };
 
+  void add_region(const void* base, std::size_t bytes, HomePolicy policy, int fixed_home,
+                  std::string name);
   void observe(int proc, const void* p, std::size_t n, bool is_write, std::uint64_t now,
                bool has_now);
   void touch_line(int proc, std::size_t block, bool is_write, std::uint32_t object,
@@ -273,7 +250,11 @@ class SightModel final : public MemModel {
   void refresh_granules();
   void note_class(int proc, LineClass cls, std::uint64_t now);
 
-  std::unique_ptr<MemModel> inner_;
+  int nprocs_;
+  RegionTable regions_;
+  std::vector<LineLookaside> la_;  // per processor
+  /// Emits a `sight` instant at each line-class transition (Perfetto shows
+  /// when a line goes migratory).
   ptb::trace::Tracer* tracer_ = nullptr;
   std::uint64_t window_ns_ = 0;
 

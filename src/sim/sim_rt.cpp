@@ -73,27 +73,24 @@ SimContext::SimContext(const PlatformSpec& spec, int nprocs, SimBackend backend,
                        bool race_detect, bool sight_observe)
     : spec_(spec), nprocs_(nprocs), backend_(backend), mem_(make_mem_model(spec, nprocs)) {
   PTB_CHECK(nprocs >= 1 && nprocs <= 64);
-  if (race_detect) {
-    auto rm = std::make_unique<race::RaceModel>(std::move(mem_));
-    race_model_ = rm.get();
-    mem_ = std::move(rm);
-  }
+  // Sight first: within one charge, its trace instants precede the race
+  // detector's, which precede the memory instants.
   if (sight_observe) {
-    // Outermost, so it observes every access the dispatch layer sees
-    // (including what the race decorator forwards).
-    auto sm = std::make_unique<sight::SightModel>(std::move(mem_));
-    sight_model_ = sm.get();
-    mem_ = std::move(sm);
+    sight_ = std::make_unique<sight::SightModel>(spec, nprocs);
+    replace_observer(nullptr, sight_.get());
+  }
+  if (race_detect) {
+    race_ = std::make_unique<race::RaceDetector>(nprocs);
+    replace_observer(nullptr, race_.get());
   }
   mem_slowpath_ = mem_slowpath_enabled();
   mem_fast_.bind(mem_.get(), /*force_virtual=*/mem_slowpath_);
   // The fiber backend serializes unordered stretches in host time, which
   // licenses the model's eager-invalidation cache mode (same virtual results,
-  // no shared epoch loads on the read path). Forwards through the race
-  // decorator when one is installed. kParallel overlaps sections on pool
-  // workers and so stays on lazy epochs, as does the slow-path oracle, which
-  // thereby re-checks the eager/lazy equivalence end to end, not just the
-  // span coalescing.
+  // no shared epoch loads on the read path). kParallel overlaps sections on
+  // pool workers and so stays on lazy epochs, as does the slow-path oracle,
+  // which thereby re-checks the eager/lazy equivalence end to end, not just
+  // the span coalescing.
   if (backend_ == SimBackend::kFibers && !mem_slowpath_)
     mem_->set_serialized(true);
   const auto np = static_cast<std::size_t>(nprocs);
@@ -111,17 +108,39 @@ SimContext::SimContext(const PlatformSpec& spec, int nprocs, SimBackend backend,
 SimContext::~SimContext() = default;
 
 const race::RaceReport* SimContext::race_report() const {
-  return race_model_ != nullptr ? &race_model_->report() : nullptr;
+  return race_ != nullptr ? &race_->report() : nullptr;
+}
+
+void SimContext::replace_observer(SimObserver* old_obs, SimObserver* new_obs) {
+  if (old_obs != nullptr) std::erase(observers_, old_obs);
+  if (new_obs != nullptr) observers_.push_back(new_obs);
+  read_shared_observers_.clear();
+  per_element_spans_ = false;
+  for (SimObserver* o : observers_) {
+    const UnorderedUse use = o->unordered_use();
+    if (use != UnorderedUse::kNone) read_shared_observers_.push_back(o);
+    if (use == UnorderedUse::kPerElement) per_element_spans_ = true;
+  }
 }
 
 void SimContext::set_tracer(trace::Tracer* t) {
+  replace_observer(tracer_, t);
   tracer_ = t;
-  if (race_model_ != nullptr) race_model_->set_tracer(t);
-  if (sight_model_ != nullptr) sight_model_->set_tracer(t);
+}
+
+void SimContext::set_profiler(prof::Recorder* r) {
+  replace_observer(prof_, r);
+  prof_ = r;
+}
+
+void SimContext::set_anatomy(anatomy::Collector* c) {
+  replace_observer(anatomy_, c);
+  anatomy_ = c;
 }
 
 void SimContext::register_region(const void* base, std::size_t bytes, HomePolicy policy,
                                  int fixed_home, std::string name) {
+  for (SimObserver* o : observers_) o->on_region({base, bytes, policy, fixed_home, name});
   mem_->register_region(base, bytes, policy, fixed_home, std::move(name));
 }
 
@@ -150,23 +169,7 @@ void SimContext::reset_run_state() {
   barrier_arrived_ = 0;
   heap_.init(nprocs_);
   for (int p = 0; p < nprocs_; ++p) heap_.push(p, 0);
-  if (prof_ != nullptr) prof_->begin_run(nprocs_);
-  if (anatomy_ != nullptr) anatomy_->begin_run(nprocs_);
-}
-
-void SimContext::prof_note_charge(int p, const void* addr, const MemProcStats& before,
-                                  std::uint64_t clock_before) {
-  const MemProcStats& after = mem_->proc_stats(p);
-  prof_->charge(p, addr, clock_[static_cast<std::size_t>(p)] - clock_before,
-                after.remote_misses - before.remote_misses,
-                after.invalidations_sent - before.invalidations_sent);
-}
-
-void SimContext::prof_note_unordered(int p, const void* addr, std::uint64_t cost,
-                                     const MemProcStats& before,
-                                     const MemProcStats& after) {
-  prof_->charge(p, addr, cost, after.remote_misses - before.remote_misses,
-                after.invalidations_sent - before.invalidations_sent);
+  for (SimObserver* o : observers_) o->on_run_start({nprocs_, tracer_});
 }
 
 void SimContext::run_impl(const std::function<void(SimProc&)>& f) {
@@ -180,15 +183,12 @@ void SimContext::run_impl(const std::function<void(SimProc&)>& f) {
 void SimContext::finish_proc(int p) {
   flush_pending(p);
   const auto idx = static_cast<std::size_t>(p);
-  if (tracer_ != nullptr && clock_[idx] > phase_mark_[idx])
-    tracer_->span(p, trace::kCatPhase, phase_name(phase_[idx]), phase_mark_[idx],
-                  clock_[idx]);
+  const PhaseEvent e{p, phase_[idx], phase_[idx], phase_mark_[idx], clock_[idx],
+                     mem_->proc_stats(p)};
   stats_[idx].phase_ns[static_cast<int>(phase_[idx])] +=
       static_cast<double>(clock_[idx] - phase_mark_[idx]);
   phase_mark_[idx] = clock_[idx];
-  if (prof_ != nullptr)
-    prof_->finish(p, clock_[idx], mem_->proc_stats(p).remote_misses);
-  if (anatomy_ != nullptr) anatomy_->phase_close(p, phase_[idx], mem_->proc_stats(p));
+  for (SimObserver* o : observers_) o->on_finish(e);
   leave_active(p, Status::kDone);
   maybe_release_barrier();
 }
@@ -232,9 +232,8 @@ void SimContext::fiber_reschedule() {
     Fiber::switch_to(from, host_ctx_);
     return;
   }
-  if (tracer_ != nullptr)
-    tracer_->instant(next, trace::kCatSched, "fiber-switch",
-                     clock_[static_cast<std::size_t>(next)]);
+  for (SimObserver* o : observers_)
+    o->on_switch({next, clock_[static_cast<std::size_t>(next)]});
   running_ = next;
   Fiber::switch_to(from, *fibers_[static_cast<std::size_t>(next)]);
 }
@@ -298,8 +297,8 @@ void SimContext::drain_sections(bool block) {
 void SimContext::op_unordered_run(int p, std::function<void()> fn) {
   const auto idx = static_cast<std::size_t>(p);
   if (backend_ != SimBackend::kParallel || !overlap_ok_) {
-    // Fibers (and observed kParallel runs, which must reproduce the serial
-    // host order for the tracer/profiler/race detector): run inline.
+    // Fibers (and kParallel runs whose observers read unordered charges,
+    // which must see the serial host order): run inline.
     // The flag arms the ordered-op-inside-section contract check.
     in_free_[idx] = 1;
     fn();
@@ -325,10 +324,10 @@ void SimContext::op_unordered_run(int p, std::function<void()> fn) {
 }
 
 void SimContext::run_parallel(const std::function<void(SimProc&)>& f) {
-  // One scheduler thread (this one) + a closure pool. Observed runs get no
-  // pool: sections run inline, reproducing the fiber host order exactly.
-  overlap_ok_ = tracer_ == nullptr && prof_ == nullptr && race_model_ == nullptr &&
-                sight_model_ == nullptr;
+  // One scheduler thread (this one) + a closure pool. Runs observed on
+  // unordered charges get no pool: sections run inline, reproducing the
+  // fiber host order exactly.
+  overlap_ok_ = read_shared_observers_.empty();
   free_running_ = 0;
   section_fn_.assign(static_cast<std::size_t>(nprocs_), nullptr);
   pool_width_ = overlap_ok_ ? std::clamp(workers_, 1, nprocs_) : 0;
@@ -407,14 +406,16 @@ void SimContext::maybe_release_barrier() {
     if (status_[static_cast<std::size_t>(q)] == Status::kInBarrier)
       release = std::max(release, barrier_arrival_[static_cast<std::size_t>(q)]);
   }
-  if (prof_ != nullptr) {
+  if (!observers_.empty()) {
     // The last arriver (earliest id on ties) is the release's cause.
-    int last = -1;
-    for (int q = 0; q < nprocs_ && last < 0; ++q) {
+    BarrierReleaseEvent e{release, -1, 0, barrier_arrival_.data()};
+    for (int q = 0; q < nprocs_; ++q) {
       const auto qi = static_cast<std::size_t>(q);
-      if (status_[qi] == Status::kInBarrier && barrier_arrival_[qi] == release) last = q;
+      if (status_[qi] != Status::kInBarrier) continue;
+      e.released |= std::uint64_t{1} << q;
+      if (e.last < 0 && barrier_arrival_[qi] == release) e.last = q;
     }
-    prof_->barrier_release(release, last);
+    for (SimObserver* o : observers_) o->on_barrier_release(e);
   }
   for (int q = 0; q < nprocs_; ++q) {
     const auto qi = static_cast<std::size_t>(q);
@@ -424,8 +425,6 @@ void SimContext::maybe_release_barrier() {
     stats_[qi].barrier_wait_phase_ns[static_cast<int>(phase_[qi])] +=
         static_cast<double>(waited);
     stats_[qi].barrier_wait_events.add(static_cast<double>(waited));
-    if (tracer_ != nullptr && waited != 0)
-      tracer_->span(q, trace::kCatSync, "barrier-wait", barrier_arrival_[qi], release);
     clock_[qi] = release;
     set_active(q);
   }
@@ -439,20 +438,17 @@ void SimContext::op_lock(int p, const void* addr) {
   flush_pending(p);
   ++stats_[idx].lock_acquires[static_cast<int>(phase_[idx])];
   wait_for_turn(p);
+  const auto acquire = [&](std::uint64_t now) { return mem_->on_acquire(p, addr, now); };
   LockState& ls = locks_[addr];
   if (!ls.held) {
     ls.held = true;
     ls.holder = p;
-    const std::uint64_t t0 = clock_[idx];
-    charge_model(p,
-                 [&](MemModel& m, std::uint64_t now) { return m.on_acquire(p, addr, now); });
-    if (prof_ != nullptr)
-      prof_->lock_acquired(p, addr, t0, clock_[idx], phase_[idx],
-                           mem_->proc_stats(p).remote_misses);
+    charge(p, ChargeKind::kAcquire, addr, 0, nullptr, acquire);
     return;
   }
   const std::uint64_t request_ns = clock_[idx];
-  if (prof_ != nullptr) prof_->lock_wait_begin(p, addr, request_ns, phase_[idx]);
+  for (SimObserver* o : observers_)
+    o->on_lock_request({p, addr, request_ns, request_ns, -1, 0});
   ls.waiters.emplace_back(request_ns, p);
   leave_active(p, Status::kBlockedLock);
   // Parked until a releaser grants us the lock and re-admits us (op_unlock).
@@ -462,15 +458,12 @@ void SimContext::op_lock(int p, const void* addr) {
   stats_[idx].lock_wait_phase_ns[static_cast<int>(phase_[idx])] +=
       static_cast<double>(waited);
   stats_[idx].lock_wait_events.add(static_cast<double>(waited));
-  if (tracer_ != nullptr)
-    tracer_->span(p, trace::kCatSync, "lock-wait", request_ns, clock_[idx]);
+  for (SimObserver* o : observers_)
+    o->on_lock_grant({p, addr, request_ns, clock_[idx], -1, 0});
   // The releaser set our clock to the grant time and made us Active again;
   // run the acquire-side protocol in global virtual-time order.
   wait_for_turn(p);
-  charge_model(p,
-               [&](MemModel& m, std::uint64_t now) { return m.on_acquire(p, addr, now); });
-  if (prof_ != nullptr)
-    prof_->lock_acquired_end(p, clock_[idx], mem_->proc_stats(p).remote_misses);
+  charge(p, ChargeKind::kAcquire, addr, 0, nullptr, acquire);
 }
 
 void SimContext::op_unlock(int p, const void* addr) {
@@ -481,30 +474,24 @@ void SimContext::op_unlock(int p, const void* addr) {
   PTB_CHECK_MSG(it != locks_.end() && it->second.held && it->second.holder == p,
                 "unlock of a lock not held by this processor");
   LockState& ls = it->second;
-  const std::uint64_t u0 = clock_[idx];
-  charge_model(p,
-               [&](MemModel& m, std::uint64_t now) { return m.on_release(p, addr, now); });
-  if (prof_ != nullptr)
-    prof_->unlock(p, addr, u0, clock_[idx], phase_[idx],
-                  mem_->proc_stats(p).remote_misses);
+  charge(p, ChargeKind::kRelease, addr, 0, nullptr,
+         [&](std::uint64_t now) { return mem_->on_release(p, addr, now); });
+  LockEvent e{p, addr, 0, clock_[idx], -1, 0};
   if (ls.waiters.empty()) {
     ls.held = false;
     ls.holder = -1;
   } else {
     // Grant to the earliest request in virtual time (ties by processor id).
     auto best = std::min_element(ls.waiters.begin(), ls.waiters.end());
-    const int w = best->second;
+    e.peer = best->second;
     ls.waiters.erase(best);
-    ls.holder = w;
-    const auto widx = static_cast<std::size_t>(w);
+    ls.holder = e.peer;
+    const auto widx = static_cast<std::size_t>(e.peer);
     clock_[widx] = std::max(clock_[widx], clock_[idx]);
-    // Record the handoff edge (after the unlock event above, whose log
-    // index the edge references).
-    if (prof_ != nullptr) prof_->lock_grant(w, p, clock_[widx]);
-    if (tracer_ != nullptr)
-      tracer_->flow(p, w, trace::kCatSync, "lock-handoff", clock_[idx], clock_[widx]);
-    set_active(w);
+    e.grant_ns = clock_[widx];
+    set_active(e.peer);
   }
+  for (SimObserver* o : observers_) o->on_lock_release(e);
 }
 
 void SimContext::op_barrier(int p) {
@@ -512,11 +499,9 @@ void SimContext::op_barrier(int p) {
   flush_pending(p);
   ++stats_[idx].barriers;
   wait_for_turn(p);
-  const std::uint64_t b0 = clock_[idx];
-  charge_model(p,
-               [&](MemModel& m, std::uint64_t now) { return m.on_barrier_arrive(p, now); });
+  charge(p, ChargeKind::kBarrierArrive, nullptr, 0, nullptr,
+         [&](std::uint64_t now) { return mem_->on_barrier_arrive(p, now); });
   barrier_arrival_[idx] = clock_[idx];
-  if (prof_ != nullptr) prof_->barrier_arrive(p, b0, clock_[idx], phase_[idx]);
   leave_active(p, Status::kInBarrier);
   ++barrier_arrived_;
   // The last arrival releases everyone, itself included; earlier arrivals
@@ -529,29 +514,19 @@ void SimContext::op_barrier(int p) {
   // letting it run while earlier departers sit in their unordered sections is
   // what lets those sections overlap at all.
   wait_for_turn(p, /*allow_sections=*/true);
-  charge_model(p,
-               [&](MemModel& m, std::uint64_t now) { return m.on_barrier_depart(p, now); });
-  if (prof_ != nullptr)
-    prof_->barrier_depart(p, clock_[idx], mem_->proc_stats(p).remote_misses);
+  charge(p, ChargeKind::kBarrierDepart, nullptr, 0, nullptr,
+         [&](std::uint64_t now) { return mem_->on_barrier_depart(p, now); });
 }
 
 void SimContext::op_begin_phase(int p, Phase ph) {
   const auto idx = static_cast<std::size_t>(p);
   flush_pending(p);
-  if (tracer_ != nullptr && clock_[idx] > phase_mark_[idx])
-    tracer_->span(p, trace::kCatPhase, phase_name(phase_[idx]), phase_mark_[idx],
-                  clock_[idx]);
+  const PhaseEvent e{p, phase_[idx], ph, phase_mark_[idx], clock_[idx], mem_->proc_stats(p)};
   stats_[idx].phase_ns[static_cast<int>(phase_[idx])] +=
       static_cast<double>(clock_[idx] - phase_mark_[idx]);
   phase_mark_[idx] = clock_[idx];
-  // The collector reads only processor p's own counters inside p's own
-  // ordered operation (always on the scheduler thread — begin_phase is never
-  // an overlappable unordered section), so it needs no overlap_ok_ entry.
-  if (anatomy_ != nullptr) anatomy_->phase_close(p, phase_[idx], mem_->proc_stats(p));
   phase_[idx] = ph;
-  if (prof_ != nullptr)
-    prof_->phase_begin(p, ph, clock_[idx], mem_->proc_stats(p).remote_misses);
-  mem_->on_phase(p, ph);  // report metadata only; a no-op for protocol models
+  for (SimObserver* o : observers_) o->on_phase(e);
 }
 
 // --- SimProc forwarding ---
@@ -573,17 +548,11 @@ void SimProc::lock(const void* addr) { ctx_->op_lock(self_, addr); }
 void SimProc::unlock(const void* addr) { ctx_->op_unlock(self_, addr); }
 
 std::int64_t SimProc::fetch_add(std::atomic<std::int64_t>& ctr, std::int64_t v) {
-  const auto idx = static_cast<std::size_t>(self_);
   ctx_->flush_pending(self_);
-  ++ctx_->stats_[idx].fetch_adds;
+  ++ctx_->stats_[static_cast<std::size_t>(self_)].fetch_adds;
   ctx_->wait_for_turn(self_);
-  const std::uint64_t t0 = ctx_->clock_[idx];
-  ctx_->charge_model(self_, [&](MemModel& m, std::uint64_t now) {
-    return m.on_rmw(self_, &ctr, now);
-  });
-  if (ctx_->prof_ != nullptr)
-    ctx_->prof_->fetch_add(self_, &ctr, t0, ctx_->clock_[idx], ctx_->phase_[idx],
-                           ctx_->mem_->proc_stats(self_).remote_misses);
+  ctx_->charge(self_, ChargeKind::kRmw, &ctr, sizeof ctr, nullptr,
+               [&](std::uint64_t now) { return ctx_->mem_->on_rmw(self_, &ctr, now); });
   return ctr.fetch_add(v, std::memory_order_relaxed);
 }
 

@@ -56,6 +56,14 @@
 // commutative atomics there. Its cost accumulates in a per-processor
 // "pending" bucket that is folded into the virtual clock at the next ordered
 // operation.
+//
+// Observers: the tracer, race detector, profiler, sight and anatomy all
+// implement SimObserver (sim/observer.hpp) and are notified from one list
+// after each charge and at each lock, barrier, phase, finish and scheduler
+// event. Every charge goes through the protocol model's sealed dispatch
+// whether or not anyone observes, and with nothing attached an operation
+// pays one empty-list check. kParallel overlaps unordered sections unless
+// an attached observer declares that it reads unordered charges.
 #pragma once
 
 #include <atomic>
@@ -75,12 +83,13 @@
 #include "platform/spec.hpp"
 #include "rt/phase.hpp"
 #include "sim/fiber.hpp"
+#include "sim/observer.hpp"
 #include "sim/turn_heap.hpp"
 
 namespace ptb {
 
 namespace race {
-class RaceModel;
+class RaceDetector;
 struct RaceReport;
 }  // namespace race
 
@@ -218,46 +227,31 @@ class SimContext {
   void set_workers(int w) { workers_ = w; }
   int workers() const { return workers_; }
 
-  /// The data-race detector's findings, or null when detection is off. With
-  /// detection on, `mem()` is the RaceModel decorator wrapping the platform's
-  /// protocol model (virtual times are unchanged either way).
+  /// The data-race detector's findings, or null when detection is off.
   const race::RaceReport* race_report() const;
 
-  /// The sharing-pattern observer, or null when --sight is off. With it on,
-  /// `mem()` is the SightModel decorator wrapping RaceModel/protocol model
-  /// (outermost, so it observes every access; virtual times unchanged).
-  sight::SightModel* sight_model() { return sight_model_; }
+  /// The sharing-pattern observer, or null when --sight is off.
+  sight::SightModel* sight_model() { return sight_.get(); }
 
   /// Registers a shared region with the protocol model. Call before run().
   void register_region(const void* base, std::size_t bytes, HomePolicy policy,
                        int fixed_home, std::string name);
 
-  /// Attaches an event tracer (null detaches). Virtual-time spans (phases,
-  /// lock/barrier waits), scheduler switches and memory instant events are
-  /// recorded on it; with no tracer attached the hot path pays a single
-  /// branch per operation. The tracer must outlive the context and have at
-  /// least nprocs() tracks. Never affects virtual results.
+  /// Observers (sim/observer.hpp) attached by the three setters below; each
+  /// replaces the previous one of its kind, and null detaches. They are
+  /// notified after sight and the race detector, which the constructor
+  /// attaches. Every attached observer must outlive the context.
+  ///
+  /// The event tracer records virtual-time spans (phases, lock/barrier
+  /// waits), scheduler switches and memory instants; it needs at least
+  /// nprocs() tracks.
   void set_tracer(trace::Tracer* t);
   trace::Tracer* tracer() const { return tracer_; }
-
-  /// Attaches a profiling recorder (null detaches). The recorder captures
-  /// the run's dependency graph — lock request→grant handoffs, barrier
-  /// releases, fetch&adds, phase changes, per-line memory charges — for
-  /// critical-path and what-if analysis (src/prof/). Pure observer: it only
-  /// reads virtual times the simulator already computed, so profiled runs
-  /// are bit-identical to unprofiled ones, and with no recorder attached
-  /// the hot path pays a single branch per operation. Must outlive the
-  /// context.
-  void set_profiler(prof::Recorder* r) { prof_ = r; }
-  prof::Recorder* profiler() const { return prof_; }
-
-  /// Attaches an anatomy collector (null detaches). The collector snapshots
-  /// each processor's protocol counters when that processor closes a phase
-  /// span — on the processor's own ordered operation, touching only its own
-  /// slots — so it stays off the kParallel overlap blacklist and anatomy
-  /// runs are bit-identical in virtual time. Must outlive the context.
-  void set_anatomy(anatomy::Collector* c) { anatomy_ = c; }
-  anatomy::Collector* anatomy_collector() const { return anatomy_; }
+  /// The profiling recorder captures the run's dependency graph for
+  /// critical-path and what-if analysis (src/prof/).
+  void set_profiler(prof::Recorder* r);
+  /// The anatomy collector snapshots protocol counters at phase boundaries.
+  void set_anatomy(anatomy::Collector* c);
 
   /// Runs f(SimProc&) SPMD on nprocs simulated processors, returning when
   /// all of them finish.
@@ -276,19 +270,15 @@ class SimContext {
     return f();
   }
 
-  /// ordered_apply for an atomic object at `sync`: routed through the
-  /// model's on_atomic hook so decorators can see the release/acquire
-  /// structure (protocol models default it to a plain read/write charge).
+  /// ordered_apply for an atomic object at `sync`: the charge is the plain
+  /// read/write, and observers see `sync` to follow the release/acquire
+  /// structure.
   template <class F>
   auto ordered_apply_sync(int p, const void* sync, const void* addr, std::size_t n,
                           bool is_write, F&& f) {
     flush_pending(p);
     wait_for_turn(p);
-    // on_atomic stays a virtual call: decorators key sync state off it, and
-    // it is far off the hot path.
-    charge_model_prof(p, addr, [&](MemModel& m, std::uint64_t now) {
-      return m.on_atomic(p, sync, is_write, addr, n, now);
-    });
+    ordered_charge(p, addr, n, is_write, sync);
     return f();
   }
 
@@ -356,10 +346,11 @@ class SimContext {
 
   // --- parallel backend (scheduler thread unless noted) ---
   /// Launches `fn` as processor p's unordered section. kFibers (or
-  /// kParallel with an observer attached): runs it inline. kParallel: folds
-  /// p's pending cost, removes p from the Active set, enqueues the closure
-  /// for the pool and reschedules; p's fiber resumes after drain_sections
-  /// has folded the section's cost and re-admitted p.
+  /// kParallel with an observer that reads unordered charges): runs it
+  /// inline. kParallel: folds p's pending cost, removes p from the Active
+  /// set, enqueues the closure for the pool and reschedules; p's fiber
+  /// resumes after drain_sections has folded the section's cost and
+  /// re-admitted p.
   void op_unordered_run(int p, std::function<void()> fn);
   /// Folds completed sections back into the schedule (clock fold +
   /// re-admission, in processor-id order). With `block`, sleeps until at
@@ -375,74 +366,56 @@ class SimContext {
     stats_[idx].mem_stall_ns[static_cast<int>(phase_[idx])] +=
         static_cast<double>(cost);
   }
-  /// Requires p's turn (scheduler thread). Runs one protocol-model
-  /// call (`call(mem, now) -> cost`), advances p's clock by the cost,
-  /// attributes the memory stall to p's current phase, and — when tracing —
-  /// emits instant events for the memory-event counters the call advanced.
+  /// Requires p's turn (scheduler thread). Runs one protocol-model call
+  /// (`call(now) -> cost`), advances p's clock by the cost, attributes the
+  /// memory stall to p's current phase, and notifies the observers. The ONE
+  /// copy of the ordered charge: every ordered operation goes through here.
   template <class F>
-  void charge_model(int p, F&& call) {
-    const auto idx = static_cast<std::size_t>(p);
-    MemProcStats snap;
-    if (tracer_ != nullptr) snap = mem_->proc_stats(p);
-    const std::uint64_t now = clock_[idx];
-    const std::uint64_t cost = call(*mem_, now);
+  void charge(int p, ChargeKind kind, const void* addr, std::size_t bytes,
+              const void* sync, F&& call) {
+    const std::uint64_t now = clock_[static_cast<std::size_t>(p)];
+    const bool observed = !observers_.empty();
+    MemProcStats before;
+    if (observed) before = mem_->proc_stats(p);
+    const std::uint64_t cost = call(now);
     advance(p, cost);
     note_mem_stall(p, cost);
-    if (tracer_ != nullptr)
-      trace_mem_events(*tracer_, p, snap, mem_->proc_stats(p), now);
+    if (!observed) return;
+    const ChargeEvent e{p, kind, addr, sync, bytes, /*stride=*/bytes, /*count=*/1, now, cost,
+                        before, mem_->proc_stats(p)};
+    for (SimObserver* o : observers_) o->on_charge(e);
   }
-  /// charge_model plus, when profiling, the before/after bracketing
-  /// prof_note_charge needs. The ONE place that bracketing lives — every
-  /// ordered charged access (plain and atomic) goes through here, so the
-  /// profiled and unprofiled paths cannot drift.
+  /// A plain ordered read/write of [addr, addr+n) through the sealed
+  /// dispatch; `sync` names the atomic object of an ordered_load/_store.
+  void ordered_charge(int p, const void* addr, std::size_t n, bool is_write,
+                      const void* sync = nullptr) {
+    charge(p, is_write ? ChargeKind::kWrite : ChargeKind::kRead, addr, n, sync,
+           [&](std::uint64_t now) {
+             return is_write ? mem_fast_.on_write(p, addr, n, now)
+                             : mem_fast_.on_read(p, addr, n, now);
+           });
+  }
+  /// The unordered (read_shared) counterpart of charge: runs one
+  /// protocol-model call (`call() -> cost`) and, when an attached observer
+  /// reads unordered charges, notifies those observers. Such an observer
+  /// makes kParallel run sections inline, so host execution is serial here
+  /// whenever anyone listens. The ONE copy of this block: the scalar and
+  /// span fast paths share it.
   template <class F>
-  void charge_model_prof(int p, const void* addr, F&& call) {
-    if (prof_ == nullptr) {
-      charge_model(p, call);
-      return;
-    }
-    const MemProcStats before = mem_->proc_stats(p);
-    const std::uint64_t c0 = clock_[static_cast<std::size_t>(p)];
-    charge_model(p, call);
-    prof_note_charge(p, addr, before, c0);
-  }
-  /// charge_model for a plain ordered read/write of [addr, addr+n), routed
-  /// through the sealed dispatch (a direct call for the three protocol
-  /// models, the virtual path for decorators and the slow-path oracle).
-  void ordered_charge(int p, const void* addr, std::size_t n, bool is_write) {
-    charge_model_prof(p, addr, [&](MemModel&, std::uint64_t now) {
-      return is_write ? mem_fast_.on_write(p, addr, n, now)
-                      : mem_fast_.on_read(p, addr, n, now);
-    });
-  }
-  /// The unordered (read_shared) counterpart of charge_model: runs one
-  /// protocol-model call (`call() -> cost`) with the observer
-  /// snapshot-and-diff around it when a tracer or profiler is attached.
-  /// Timestamps are approximate (the pending bucket has not been folded into
-  /// the clock yet); observed runs serialize host execution (kParallel runs
-  /// sections inline under any observer), so the observers need no locking.
-  /// The ONE copy of this block — the scalar and span fast paths share it,
-  /// so they cannot drift.
-  template <class F>
-  std::uint64_t observed_unordered_call(int p, const void* addr, F&& call) {
-    if (tracer_ == nullptr && prof_ == nullptr) return call();
+  std::uint64_t unordered_charge(int p, const void* addr, std::size_t n, std::size_t stride,
+                                 std::size_t count, F&& call) {
+    if (read_shared_observers_.empty()) return call();
     const auto idx = static_cast<std::size_t>(p);
-    const MemProcStats snap = mem_->proc_stats(p);
+    const MemProcStats before = mem_->proc_stats(p);
     const std::uint64_t cost = call();
-    const MemProcStats& after = mem_->proc_stats(p);
-    if (tracer_ != nullptr)
-      trace_mem_events(*tracer_, p, snap, after, clock_[idx] + pending_[idx].v);
-    if (prof_ != nullptr) prof_note_unordered(p, addr, cost, snap, after);
+    const ChargeEvent e{p, ChargeKind::kReadShared, addr, nullptr, n, stride, count,
+                        clock_[idx] + pending_[idx].v, cost, before, mem_->proc_stats(p)};
+    for (SimObserver* o : read_shared_observers_) o->on_charge(e);
     return cost;
   }
-  /// Profiling on: records one charged access (cost and remote-miss /
-  /// invalidation deltas) into the recorder's per-line table.
-  void prof_note_charge(int p, const void* addr, const MemProcStats& before,
-                        std::uint64_t clock_before);
-  /// Same, for the unordered path (the cost is known directly; no clock
-  /// bracketing, as read_shared never touches the clock).
-  void prof_note_unordered(int p, const void* addr, std::uint64_t cost,
-                           const MemProcStats& before, const MemProcStats& after);
+  /// Removes `old_obs` (if non-null) from the observer list, appends
+  /// `new_obs` (if non-null), and re-derives the unordered-charge view.
+  void replace_observer(SimObserver* old_obs, SimObserver* new_obs);
   void op_lock(int p, const void* addr);
   void op_unlock(int p, const void* addr);
   void op_barrier(int p);
@@ -453,24 +426,25 @@ class SimContext {
   SimBackend backend_;
   std::unique_ptr<MemModel> mem_;
   /// Sealed dispatch bound to mem_ (mem/dispatch.hpp): the hot per-access
-  /// path. Falls back to the virtual route for decorators and under
-  /// PTB_MEM_SLOWPATH.
+  /// path. Falls back to the virtual route only under PTB_MEM_SLOWPATH.
   MemDispatch mem_fast_;
   /// PTB_MEM_SLOWPATH sampled at construction: the reference-path oracle.
   /// Gates span coalescing (spans decay to per-element scalar calls).
   bool mem_slowpath_ = false;
-  /// Non-null iff race detection is on: then mem_ IS this decorator (kept
-  /// separately typed for report access and tracer forwarding).
-  race::RaceModel* race_model_ = nullptr;
-  /// Non-null iff sight observation is on: then mem_ IS this decorator,
-  /// wrapped outside the race model when both are enabled.
-  sight::SightModel* sight_model_ = nullptr;
-  /// Opt-in observability (null = disabled; the common case).
+  /// Owned observers, non-null when enabled at construction.
+  std::unique_ptr<sight::SightModel> sight_;
+  std::unique_ptr<race::RaceDetector> race_;
+  /// Caller-owned observers (null = not attached; the common case).
   trace::Tracer* tracer_ = nullptr;
-  /// Opt-in dependency-graph capture for ptb::prof (null = disabled).
-  prof::Recorder* prof_ = nullptr;
-  /// Opt-in per-phase counter snapshots for ptb::anatomy (null = disabled).
-  anatomy::Collector* anatomy_ = nullptr;
+  SimObserver* prof_ = nullptr;
+  SimObserver* anatomy_ = nullptr;
+  /// Every attached observer, in notification order (sight, race, then the
+  /// caller's in attach order), and those that read unordered charges.
+  std::vector<SimObserver*> observers_;
+  std::vector<SimObserver*> read_shared_observers_;
+  /// Some observer reads each span element's own cost
+  /// (UnorderedUse::kPerElement): spans decay to scalar charges.
+  bool per_element_spans_ = false;
 
   /// The Active set ordered by (virtual clock, processor id): top() is the
   /// one processor allowed past its next ordering point. Maintained by every
@@ -497,7 +471,7 @@ class SimContext {
   int pool_width_ = 0;     // workers actually spawned this run (0 = no pool)
   int free_running_ = 0;   // sections currently in flight (scheduler-private)
   /// True when unordered sections may genuinely overlap on the host. Off
-  /// when a tracer/profiler/race detector is attached: observers assume the
+  /// when an attached observer reads unordered charges: it assumes the
   /// serial host schedule, so sections then run inline in the fiber (still
   /// bit-identical, just not concurrent).
   bool overlap_ok_ = false;
@@ -560,8 +534,8 @@ inline std::uint64_t SimProc::trace_now() const {
 
 inline void SimProc::read_shared(const void* p, std::size_t n) {
   SimContext& ctx = *ctx_;
-  const std::uint64_t cost = ctx.observed_unordered_call(
-      self_, p, [&] { return ctx.mem_fast_.on_read_shared(self_, p, n); });
+  const std::uint64_t cost = ctx.unordered_charge(
+      self_, p, n, n, 1, [&] { return ctx.mem_fast_.on_read_shared(self_, p, n); });
   ctx.pending_[static_cast<std::size_t>(self_)].v += cost;
   ctx.note_mem_stall(self_, cost);
 }
@@ -570,10 +544,11 @@ inline void SimProc::read_shared_span(const void* p, std::size_t n, std::size_t 
                                       std::size_t count) {
   if (count == 0) return;
   SimContext& ctx = *ctx_;
-  if (ctx.mem_slowpath_ || ctx.prof_ != nullptr) {
-    // The oracle charges per element by definition. Profiled runs also stay
-    // per element so the recorder attributes each element's cost to its own
-    // address — identical attribution fast path vs oracle.
+  if (ctx.mem_slowpath_ || ctx.per_element_spans_) {
+    // The oracle charges per element by definition. An observer that reads
+    // per-element costs (the profiler attributes each element's cost to its
+    // own address) also gets scalar charges: identical attribution fast path
+    // vs oracle.
     const char* a = static_cast<const char*>(p);
     for (std::size_t i = 0; i < count; ++i) read_shared(a + i * stride, n);
     return;
@@ -585,7 +560,7 @@ inline void SimProc::read_shared_span(const void* p, std::size_t n, std::size_t 
     read_shared(p, n);
     return;
   }
-  const std::uint64_t cost = ctx.observed_unordered_call(self_, p, [&] {
+  const std::uint64_t cost = ctx.unordered_charge(self_, p, n, stride, count, [&] {
     return ctx.mem_fast_.on_read_shared_span(self_, p, n, stride, count);
   });
   ctx.pending_[static_cast<std::size_t>(self_)].v += cost;

@@ -1,7 +1,10 @@
 #include "trace/trace.hpp"
 
+#include <bit>
 #include <cstdlib>
 
+#include "mem/model.hpp"
+#include "rt/phase.hpp"
 #include "support/check.hpp"
 
 namespace ptb::trace {
@@ -24,6 +27,36 @@ void Tracer::clear() {
   dropped_.assign(dropped_.size(), 0);
   next_flow_id_ = 0;
 }
+
+void Tracer::on_charge(ChargeEvent e) {
+  for (const MemCounterDesc& c : kMemCounters) {
+    if (c.event == nullptr) continue;
+    const std::uint64_t delta = e.after.*c.field - e.before.*c.field;
+    if (delta != 0) instant(e.proc, kCatMem, c.event, e.now, static_cast<std::uint32_t>(delta));
+  }
+}
+
+void Tracer::on_lock_grant(LockEvent e) {
+  span(e.proc, kCatSync, "lock-wait", e.request_ns, e.now);
+}
+
+void Tracer::on_lock_release(LockEvent e) {
+  if (e.peer >= 0) flow(e.proc, e.peer, kCatSync, "lock-handoff", e.now, e.grant_ns);
+}
+
+void Tracer::on_barrier_release(BarrierReleaseEvent e) {
+  for (std::uint64_t m = e.released; m != 0; m &= m - 1) {
+    const int q = std::countr_zero(m);
+    const std::uint64_t arrival = e.arrival_ns[q];
+    if (arrival != e.release_ns) span(q, kCatSync, "barrier-wait", arrival, e.release_ns);
+  }
+}
+
+void Tracer::on_phase(PhaseEvent e) {
+  if (e.now > e.since) span(e.proc, kCatPhase, phase_name(e.from), e.since, e.now);
+}
+
+void Tracer::on_switch(SwitchEvent e) { instant(e.proc, kCatSched, "fiber-switch", e.now); }
 
 void Tracer::write_chrome_json(std::FILE* f) const {
   std::fprintf(f, "{\n\"traceEvents\": [\n");

@@ -15,9 +15,11 @@
 // simulator serializes processors anyway).
 //
 // The "off" state is the design center: runtimes keep a `Tracer*` that is
-// null unless the user asked for a trace (--trace / PTB_TRACE), so tracing
-// compiled in but disabled costs a single predictable branch on the DES hot
-// path (bench_sched_micro guards this).
+// null unless the user asked for a trace (--trace / PTB_TRACE). Under the
+// simulator the tracer is a SimObserver (sim/observer.hpp): its hooks turn
+// the simulator's events into spans and instants, and with nothing attached
+// the DES pays one empty-list check per operation (bench_sched_micro guards
+// this).
 //
 // Buffers are bounded: once a processor's buffer is full, further events are
 // dropped and counted, keeping the recorded prefix chronologically complete.
@@ -30,6 +32,8 @@
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "sim/observer.hpp"
 
 namespace ptb::trace {
 
@@ -52,7 +56,7 @@ struct Event {
   char flow_ph = 0;            // 0 = not a flow; 's' = source, 'f' = sink
 };
 
-class Tracer {
+class Tracer final : public SimObserver {
  public:
   /// `capacity_per_proc` bounds each processor's buffer (events, not bytes);
   /// 0 means unbounded.
@@ -112,6 +116,19 @@ class Tracer {
   std::string chrome_json() const;
 
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 17;
+
+  // --- SimObserver: how a simulated run lands on the tracks ---
+  /// Phase spans, lock/barrier waits with lock handoff flows, fiber
+  /// switches, and one `mem` instant per protocol counter a charge advanced
+  /// (count = delta).
+  UnorderedUse unordered_use() const override { return UnorderedUse::kSpans; }
+  void on_charge(ChargeEvent e) override;
+  void on_lock_grant(LockEvent e) override;
+  void on_lock_release(LockEvent e) override;
+  void on_barrier_release(BarrierReleaseEvent e) override;
+  void on_phase(PhaseEvent e) override;
+  void on_finish(PhaseEvent e) override { on_phase(e); }
+  void on_switch(SwitchEvent e) override;
 
  private:
   void push(int proc, const Event& e) {

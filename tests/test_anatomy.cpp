@@ -131,8 +131,8 @@ TEST(AnatomyEndToEnd, BitIdenticalWithTheLedgerAttached) {
   }
 }
 
-// All four observers stacked still perturb nothing, and the ledger stays
-// exact with the decorators (race, sight) wrapping the protocol model.
+// All four observers attached together still perturb nothing, and the
+// ledger stays exact with race and sight notified ahead of it.
 TEST(AnatomyEndToEnd, CombinedWithRaceProfSightIsBitIdentical) {
   ExperimentSpec spec = anatomy_spec("typhoon0_hlrc", Algorithm::kOrig, 1500, 4);
   spec.anatomy = false;

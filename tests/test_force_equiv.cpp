@@ -204,10 +204,10 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithmsAllPlatforms, ForcePathEquivP,
                                   info.param.platform;
                          });
 
-// Observers must not perturb the equivalence. Under --race the charge
-// dispatch routes through the decorator; under --prof spans decay to
-// per-element charges — the gather walk must keep matching the scalar
-// oracle through both.
+// Observers must not perturb the equivalence. Under --race the detector
+// reads every ordered charge; under --prof spans decay to per-element
+// charges — the gather walk must keep matching the scalar oracle through
+// both.
 TEST(ForcePathEquiv, IdenticalUnderRaceDetector) {
   RunOpts opts;
   opts.race = true;

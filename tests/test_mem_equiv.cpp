@@ -182,10 +182,10 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithmsAllPlatforms, MemPathEquivP,
                                   info.param.platform;
                          });
 
-// The observers must not perturb the equivalence: the race decorator routes
-// the dispatch through the virtual base path (kind() == kOther), and the
-// profiler decays spans to per-element charges to keep per-access
-// attribution — both still have to match the slow-path oracle exactly.
+// The observers must not perturb the equivalence: the race detector reads
+// every ordered charge, and the profiler decays spans to per-element charges
+// to keep per-access attribution — both still have to match the slow-path
+// oracle exactly.
 TEST(MemPathEquiv, IdenticalUnderRaceDetector) {
   RunOpts opts;
   opts.race = true;

@@ -347,7 +347,7 @@ TEST(RaceDetect, UnregisteredAddressesArePrivate) {
 
 TEST(RaceDetect, DetectorDoesNotPerturbVirtualTime) {
   // Same program with the detector on and off: identical per-processor
-  // virtual clocks (the decorator forwards the inner model's latencies).
+  // virtual clocks (the detector only reads charges already made).
   PlatformSpec spec = PlatformSpec::by_name("challenge");
   auto program = [](SimProc& rt, int* x, int* lk) {
     rt.lock(lk);

@@ -32,7 +32,42 @@ using sight::SightReport;
 using testutil::JsonChecker;
 
 std::unique_ptr<SightModel> make_sight(int nprocs) {
-  return std::make_unique<SightModel>(make_mem_model(PlatformSpec::ideal(), nprocs));
+  return std::make_unique<SightModel>(PlatformSpec::ideal(), nprocs);
+}
+
+// The feed_* helpers hand sight the events SimContext sends for each
+// operation, so these tests drive the observer exactly as a run does.
+const MemProcStats kNoStats{};
+
+void feed_region(SightModel& sm, const void* base, std::size_t bytes, HomePolicy policy,
+                 const std::string& name) {
+  sm.on_region({base, bytes, policy, 0, name});
+}
+
+void feed(SightModel& sm, int proc, ChargeKind kind, const void* p, std::size_t n,
+          std::uint64_t now) {
+  sm.on_charge({proc, kind, p, nullptr, n, n, 1, now, 0, kNoStats, kNoStats});
+}
+
+void feed_read(SightModel& sm, int proc, const void* p, std::size_t n, std::uint64_t now) {
+  feed(sm, proc, ChargeKind::kRead, p, n, now);
+}
+
+void feed_write(SightModel& sm, int proc, const void* p, std::size_t n, std::uint64_t now) {
+  feed(sm, proc, ChargeKind::kWrite, p, n, now);
+}
+
+void feed_read_shared(SightModel& sm, int proc, const void* p, std::size_t n) {
+  feed(sm, proc, ChargeKind::kReadShared, p, n, 0);
+}
+
+void feed_lock(SightModel& sm, int proc, ChargeKind kind, const void* lock,
+               std::uint64_t now) {
+  feed(sm, proc, kind, lock, 0, now);
+}
+
+void feed_phase(SightModel& sm, int proc, Phase ph) {
+  sm.on_phase({proc, Phase::kOther, ph, 0, 0, kNoStats});
 }
 
 std::uint64_t class_lines(const SightReport& r, LineClass c) {
@@ -99,15 +134,14 @@ TEST(SightClassify, BlindWriteBouncingIsPingPong) {
 TEST(SightFalseSharing, PlantedPerProcCountersInOneLineAreDetected) {
   auto sm = make_sight(2);
   alignas(64) static std::uint64_t counters[8] = {};
-  sm->register_region(counters, sizeof(counters), HomePolicy::kFixed, 0,
-                      "fixture.counters");
+  feed_region(*sm, counters, sizeof(counters), HomePolicy::kFixed, "fixture.counters");
   sm->set_object_granule("fixture.counters", sizeof(std::uint64_t));
 
   std::uint64_t now = 0;
   for (int i = 0; i < 8; ++i) {
-    sm->on_write(0, &counters[0], 8, now);
+    feed_write(*sm, 0, &counters[0], 8, now);
     now += 10;
-    sm->on_write(1, &counters[1], 8, now);
+    feed_write(*sm, 1, &counters[1], 8, now);
     now += 10;
   }
 
@@ -132,14 +166,14 @@ TEST(SightFalseSharing, PaddedCountersAreTheNegativeControl) {
   };
   auto sm = make_sight(2);
   alignas(64) static Padded padded[2];
-  sm->register_region(padded, sizeof(padded), HomePolicy::kFixed, 0, "fixture.padded");
+  feed_region(*sm, padded, sizeof(padded), HomePolicy::kFixed, "fixture.padded");
   sm->set_object_granule("fixture.padded", sizeof(Padded));
 
   std::uint64_t now = 0;
   for (int i = 0; i < 8; ++i) {
-    sm->on_write(0, &padded[0].v, 8, now);
+    feed_write(*sm, 0, &padded[0].v, 8, now);
     now += 10;
-    sm->on_write(1, &padded[1].v, 8, now);
+    feed_write(*sm, 1, &padded[1].v, 8, now);
     now += 10;
   }
 
@@ -152,16 +186,15 @@ TEST(SightFalseSharing, PaddedCountersAreTheNegativeControl) {
 TEST(SightFalseSharing, WritesFartherApartThanTheWindowDoNotCount) {
   auto sm = make_sight(2);
   alignas(64) static std::uint64_t counters[8] = {};
-  sm->register_region(counters, sizeof(counters), HomePolicy::kFixed, 0,
-                      "fixture.counters");
+  feed_region(*sm, counters, sizeof(counters), HomePolicy::kFixed, "fixture.counters");
   sm->set_object_granule("fixture.counters", sizeof(std::uint64_t));
   sm->set_window_ns(100);
 
   std::uint64_t now = 0;
   for (int i = 0; i < 8; ++i) {
-    sm->on_write(0, &counters[0], 8, now);
+    feed_write(*sm, 0, &counters[0], 8, now);
     now += 5000;
-    sm->on_write(1, &counters[1], 8, now);
+    feed_write(*sm, 1, &counters[1], 8, now);
     now += 5000;
   }
   const SightReport rep = sm->build_report(CellResolver{});
@@ -174,12 +207,11 @@ TEST(SightFalseSharing, WritesFartherApartThanTheWindowDoNotCount) {
 TEST(SightFalseSharing, TrueSharingOfOneObjectIsNotFlagged) {
   auto sm = make_sight(2);
   alignas(64) static std::uint64_t counters[8] = {};
-  sm->register_region(counters, sizeof(counters), HomePolicy::kFixed, 0,
-                      "fixture.counters");
+  feed_region(*sm, counters, sizeof(counters), HomePolicy::kFixed, "fixture.counters");
   sm->set_object_granule("fixture.counters", sizeof(std::uint64_t));
   std::uint64_t now = 0;
   for (int i = 0; i < 8; ++i) {
-    sm->on_write(i % 2, &counters[0], 8, now);  // both procs, SAME object
+    feed_write(*sm, i % 2, &counters[0], 8, now);  // both procs, SAME object
     now += 10;
   }
   EXPECT_TRUE(sm->build_report(CellResolver{}).false_sharing.empty());
@@ -188,13 +220,12 @@ TEST(SightFalseSharing, TrueSharingOfOneObjectIsNotFlagged) {
 TEST(SightFalseSharing, RegionsWithoutAGranuleAreNeverFlagged) {
   auto sm = make_sight(2);
   alignas(64) static std::uint64_t counters[8] = {};
-  sm->register_region(counters, sizeof(counters), HomePolicy::kFixed, 0,
-                      "fixture.counters");
+  feed_region(*sm, counters, sizeof(counters), HomePolicy::kFixed, "fixture.counters");
   std::uint64_t now = 0;
   for (int i = 0; i < 8; ++i) {
-    sm->on_write(0, &counters[0], 8, now);
+    feed_write(*sm, 0, &counters[0], 8, now);
     now += 10;
-    sm->on_write(1, &counters[1], 8, now);
+    feed_write(*sm, 1, &counters[1], 8, now);
     now += 10;
   }
   EXPECT_TRUE(sm->build_report(CellResolver{}).false_sharing.empty());
@@ -224,16 +255,16 @@ TEST(SightWindow, MalformedEnvOverrideAborts) {
 TEST(SightReuse, ExactStackDistancesAndPerPhaseWorkingSets) {
   auto sm = make_sight(1);
   alignas(64) static char buf[64 * 4];
-  sm->register_region(buf, sizeof(buf), HomePolicy::kFixed, 0, "fixture.buf");
+  feed_region(*sm, buf, sizeof(buf), HomePolicy::kFixed, "fixture.buf");
 
-  sm->on_phase(0, Phase::kTreeBuild);
+  feed_phase(*sm, 0, Phase::kTreeBuild);
   // A B C A: the second A has exactly 2 distinct lines in between.
-  sm->on_read(0, buf + 0, 4, 0);
-  sm->on_read(0, buf + 64, 4, 10);
-  sm->on_read(0, buf + 128, 4, 20);
-  sm->on_read(0, buf + 0, 4, 30);
-  sm->on_phase(0, Phase::kForces);
-  sm->on_read(0, buf + 0, 4, 40);  // re-touch in a new phase: distance 0
+  feed_read(*sm, 0, buf + 0, 4, 0);
+  feed_read(*sm, 0, buf + 64, 4, 10);
+  feed_read(*sm, 0, buf + 128, 4, 20);
+  feed_read(*sm, 0, buf + 0, 4, 30);
+  feed_phase(*sm, 0, Phase::kForces);
+  feed_read(*sm, 0, buf + 0, 4, 40);  // re-touch in a new phase: distance 0
 
   const SightReport rep = sm->build_report(CellResolver{});
   const sight::WorkingSetRow* build = nullptr;
@@ -260,9 +291,9 @@ TEST(SightReuse, SlotCompactionPreservesDistances) {
   // 33 lines cycled many times: >1024 accesses forces at least one Fenwick
   // compaction; every post-warm-up cycle must still see distance 32.
   alignas(64) static char buf[64 * 33];
-  sm->register_region(buf, sizeof(buf), HomePolicy::kFixed, 0, "fixture.buf");
+  feed_region(*sm, buf, sizeof(buf), HomePolicy::kFixed, "fixture.buf");
   for (int round = 0; round < 40; ++round)
-    for (int l = 0; l < 33; ++l) sm->on_read(0, buf + 64 * l, 1, 0);
+    for (int l = 0; l < 33; ++l) feed_read(*sm, 0, buf + 64 * l, 1, 0);
   const SightReport rep = sm->build_report(CellResolver{});
   ASSERT_EQ(rep.working_set.size(), 1u);
   const auto& w = rep.working_set[0];
@@ -325,7 +356,7 @@ TEST(SightReuse, RandomMultiProcessorTraceMatchesMoveToFrontOracle) {
   constexpr int kAccesses = 80000;
   alignas(64) static char buf[64 * kLines];
   auto sm = make_sight(kProcs);
-  sm->register_region(buf, sizeof(buf), HomePolicy::kInterleavedBlock, 0, "fixture.buf");
+  feed_region(*sm, buf, sizeof(buf), HomePolicy::kInterleavedBlock, "fixture.buf");
   ReuseOracle oracle(kProcs, kLines);
 
   Rng rng(0x5eed5164);
@@ -333,7 +364,7 @@ TEST(SightReuse, RandomMultiProcessorTraceMatchesMoveToFrontOracle) {
   std::array<std::uint32_t, kProcs> last{};
   for (int p = 0; p < kProcs; ++p) {
     phase[static_cast<std::size_t>(p)] = static_cast<int>(Phase::kOther);
-    sm->on_phase(p, Phase::kOther);
+    feed_phase(*sm, p, Phase::kOther);
   }
   std::uint64_t now = 0;
   for (int i = 0; i < kAccesses; ++i) {
@@ -341,7 +372,7 @@ TEST(SightReuse, RandomMultiProcessorTraceMatchesMoveToFrontOracle) {
     const auto pi = static_cast<std::size_t>(p);
     if (rng.next_below(400) == 0) {
       phase[pi] = static_cast<int>(rng.next_below(kNumPhases));
-      sm->on_phase(p, static_cast<Phase>(phase[pi]));
+      feed_phase(*sm, p, static_cast<Phase>(phase[pi]));
     }
     std::uint32_t line = last[pi];
     const std::uint64_t pick = rng.next_below(10);
@@ -357,11 +388,11 @@ TEST(SightReuse, RandomMultiProcessorTraceMatchesMoveToFrontOracle) {
     const std::size_t n = 1 + rng.next_below(16);
     const std::uint64_t kind = rng.next_below(3);
     if (kind == 0) {
-      sm->on_write(p, buf + off, n, now);
+      feed_write(*sm, p, buf + off, n, now);
     } else if (kind == 1) {
-      sm->on_read(p, buf + off, n, now);
+      feed_read(*sm, p, buf + off, n, now);
     } else {
-      sm->on_read_shared(p, buf + off, n);
+      feed_read_shared(*sm, p, buf + off, n);
     }
     const std::size_t end_line = std::min<std::size_t>((off + n - 1) / 64, kLines - 1);
     for (std::size_t l = off / 64; l <= end_line; ++l)
@@ -408,40 +439,20 @@ TEST(SightReuse, RandomMultiProcessorTraceMatchesMoveToFrontOracle) {
   EXPECT_EQ(rep.working_set.size(), expected_rows);
 }
 
-// --- decorator plumbing ---
-
-TEST(SightModelTest, ForwardsLatenciesAndStatsUnchanged) {
-  const PlatformSpec spec = PlatformSpec::by_name("challenge");
-  auto plain = make_mem_model(spec, 2);
-  auto sighted = std::make_unique<SightModel>(make_mem_model(spec, 2));
-  alignas(64) static char buf[4096];
-  plain->register_region(buf, sizeof(buf), HomePolicy::kInterleavedBlock, 0, "buf");
-  sighted->register_region(buf, sizeof(buf), HomePolicy::kInterleavedBlock, 0, "buf");
-  std::uint64_t now = 0;
-  for (int i = 0; i < 64; ++i) {
-    const int p = i % 2;
-    const std::size_t off = static_cast<std::size_t>((i * 192) % 4000);
-    EXPECT_EQ(sighted->on_read(p, buf + off, 8, now), plain->on_read(p, buf + off, 8, now));
-    EXPECT_EQ(sighted->on_write(p, buf + off, 8, now + 7),
-              plain->on_write(p, buf + off, 8, now + 7));
-    now += 100;
-  }
-  EXPECT_EQ(sighted->proc_stats(0).read_misses, plain->proc_stats(0).read_misses);
-  EXPECT_EQ(sighted->total_stats().invalidations_sent,
-            plain->total_stats().invalidations_sent);
-}
+// --- observer plumbing ---
 
 TEST(SightModelTest, ObservedRegionsDoNotReachTheInnerModel) {
   auto sm = make_sight(2);
   alignas(64) static char lockwords[256];
   sm->add_observed_region(lockwords, sizeof(lockwords), "locks");
-  // The observer resolves the lock word; the wrapped protocol model must not
-  // (forwarding it would renumber blocks and change virtual time).
+  // The observer resolves the lock word in its own table; the protocol
+  // model never sees the region (registering it there would renumber blocks
+  // and change virtual time).
   std::uint64_t now = 0;
-  sm->on_acquire(0, lockwords + 0, now);
-  sm->on_release(0, lockwords + 0, now + 10);
-  sm->on_acquire(1, lockwords + 0, now + 20);
-  sm->on_release(1, lockwords + 0, now + 30);
+  feed_lock(*sm, 0, ChargeKind::kAcquire, lockwords + 0, now);
+  feed_lock(*sm, 0, ChargeKind::kRelease, lockwords + 0, now + 10);
+  feed_lock(*sm, 1, ChargeKind::kAcquire, lockwords + 0, now + 20);
+  feed_lock(*sm, 1, ChargeKind::kRelease, lockwords + 0, now + 30);
   const SightReport rep = sm->build_report(CellResolver{});
   EXPECT_EQ(rep.lines_observed, 1u);
   // Acquire = read-then-write of the word: the contended lock is migratory.

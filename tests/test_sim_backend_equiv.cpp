@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "anatomy/anatomy.hpp"
 #include "harness/experiment.hpp"
 #include "prof/profile.hpp"
 #include "race/race.hpp"
@@ -39,6 +40,7 @@ struct BackendRun {
   RunResult run;
   std::vector<std::uint64_t> clocks;
   std::uint64_t races = 0;
+  anatomy::Ledger ledger;
 };
 
 /// The pre-run values of everything a timestep mutates. Restoring copies
@@ -74,6 +76,7 @@ void restore_snapshot(AppState& st, const StateSnapshot& snap) {
 struct RunOpts {
   bool race = false;
   bool prof = false;
+  bool anatomy = false;
   /// Host workers for kParallel's section pool (0 = backend default). Set
   /// to >1 in the matrix tests so real cross-thread overlap is exercised.
   int workers = 4;
@@ -97,10 +100,14 @@ std::vector<BackendRun> run_backends(const std::string& platform, int n, int npr
     if (opts.workers > 0) ctx.set_workers(opts.workers);
     prof::Recorder rec;
     if (opts.prof) ctx.set_profiler(&rec);
+    anatomy::Collector col;
+    if (opts.anatomy) ctx.set_anatomy(&col);
     BackendRun r;
     r.run = run_simulation(ctx, st, builder, rc);
     for (int p = 0; p < nprocs; ++p) r.clocks.push_back(ctx.clock_ns(p));
     if (const race::RaceReport* rr = ctx.race_report()) r.races = rr->races;
+    if (opts.anatomy)
+      r.ledger = anatomy::build_ledger(r.run.proc_stats, col, PlatformSpec::by_name(platform));
     out.push_back(std::move(r));
   }
   return out;
@@ -180,9 +187,9 @@ TEST(BackendEquiv, ParallelSingleWorkerBitIdentical) {
   expect_identical(runs[0], runs[1]);
 }
 
-// Observer decorators force the sections inline (overlap off) under
-// kParallel; the whole run — including the race findings — must still match
-// the fiber backend exactly.
+// The race detector reads no unordered charges, so kParallel keeps
+// overlapping sections under it; the whole run — including the race
+// findings — must still match the fiber backend exactly.
 TEST(BackendEquiv, ParallelUnderRaceDetectorMatchesFibers) {
   RunOpts opts;
   opts.race = true;
@@ -190,6 +197,32 @@ TEST(BackendEquiv, ParallelUnderRaceDetectorMatchesFibers) {
                                   {SimBackend::kFibers, SimBackend::kParallel}, opts);
   expect_identical(runs[0], runs[1]);
   EXPECT_EQ(runs[0].races, runs[1].races);
+}
+
+// Anatomy also leaves overlap on; its ledger must match the fiber
+// backend's cell by cell.
+TEST(BackendEquiv, ParallelUnderAnatomyMatchesFibers) {
+  RunOpts opts;
+  opts.anatomy = true;
+  const auto runs = run_algorithm(Algorithm::kOrig, "paragon", kBodies, kProcs,
+                                  {SimBackend::kFibers, SimBackend::kParallel}, opts);
+  expect_identical(runs[0], runs[1]);
+  const anatomy::Ledger& a = runs[0].ledger;
+  const anatomy::Ledger& b = runs[1].ledger;
+  ASSERT_TRUE(a.enabled && b.enabled);
+  EXPECT_EQ(a.total_ns, b.total_ns);
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  for (std::size_t p = 0; p < a.cells.size(); ++p) {
+    for (int ph = 0; ph < kNumPhases; ++ph) {
+      for (int c = 0; c < anatomy::kNumCategories; ++c) {
+        const auto cat = static_cast<anatomy::Category>(c);
+        EXPECT_EQ(a.cell_ns(static_cast<int>(p), static_cast<Phase>(ph), cat),
+                  b.cell_ns(static_cast<int>(p), static_cast<Phase>(ph), cat))
+            << "proc " << p << " phase " << phase_name(static_cast<Phase>(ph)) << " "
+            << anatomy::category_name(cat);
+      }
+    }
+  }
 }
 
 TEST(BackendEquiv, ParallelUnderProfilerMatchesFibers) {

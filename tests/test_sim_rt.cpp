@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
+#include "anatomy/anatomy.hpp"
+#include "prof/prof.hpp"
+#include "race/race.hpp"
+#include "sight/sight.hpp"
 #include "sim/sim_rt.hpp"
+#include "trace/trace.hpp"
 
 namespace ptb {
 namespace {
@@ -224,6 +231,53 @@ TEST(SimRt, CriticalSectionDilationSerializesHlrcLocks) {
   // Last processor's finish time >= 4 acquires + 4 faults, serialized.
   const double serial = 4 * spec.svm_lock_ns + 4 * (spec.page_fault_ns + spec.twin_ns);
   EXPECT_GE(static_cast<double>(ctx.elapsed_ns()), serial * 0.9);
+}
+
+// Which observers keep kParallel's overlap: the rule reads each observer's
+// UnorderedUse declaration, so an observer that ignores unordered charges
+// (anatomy, race) leaves every section on a pool worker, and one that reads
+// them (trace, prof, sight) runs every section on the calling thread.
+enum class Attached { kAnatomy, kRace, kTracer, kProf, kSight };
+
+std::vector<std::thread::id> section_threads(Attached a) {
+  constexpr int kProcs = 4;
+  constexpr int kRounds = 3;
+  SimContext ctx(PlatformSpec::by_name("challenge"), kProcs, SimBackend::kParallel,
+                 /*race_detect=*/a == Attached::kRace, /*sight_observe=*/a == Attached::kSight);
+  ctx.set_workers(2);
+  trace::Tracer tracer(kProcs);
+  prof::Recorder recorder;
+  anatomy::Collector collector;
+  if (a == Attached::kTracer) ctx.set_tracer(&tracer);
+  if (a == Attached::kProf) ctx.set_profiler(&recorder);
+  if (a == Attached::kAnatomy) ctx.set_anatomy(&collector);
+  alignas(64) static int data[64];
+  ctx.register_region(data, sizeof(data), HomePolicy::kInterleavedBlock, 0, "data");
+  std::vector<std::thread::id> ids(kProcs * kRounds);
+  ctx.run([&](SimProc& rt) {
+    for (int round = 0; round < kRounds; ++round) {
+      rt.barrier();
+      rt.unordered([&] {
+        rt.read_shared(&data[rt.self()], sizeof(int));
+        rt.compute(10.0);
+        ids[static_cast<std::size_t>(rt.self() * kRounds + round)] =
+            std::this_thread::get_id();
+      });
+    }
+  });
+  return ids;
+}
+
+TEST(SimRt, ParallelOverlapKeptUnlessAnObserverReadsUnorderedCharges) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (Attached a : {Attached::kAnatomy, Attached::kRace}) {
+    for (std::thread::id id : section_threads(a))
+      EXPECT_NE(id, caller) << "observer " << static_cast<int>(a);
+  }
+  for (Attached a : {Attached::kTracer, Attached::kProf, Attached::kSight}) {
+    for (std::thread::id id : section_threads(a))
+      EXPECT_EQ(id, caller) << "observer " << static_cast<int>(a);
+  }
 }
 
 }  // namespace

@@ -17,8 +17,9 @@ instead of waiting for the 5x6 equivalence matrix to diverge:
                      or re-sorted by a total key
   observer-mutation  observer layers (trace/race/prof/sight) are pure: no
                      const_cast, no non-const SimContext/SimProc access
-  decorator-latency  MemModel decorators outside src/mem/ must return the
-                     inner model's latency unmodified on every hook
+  mem-subclass       no class outside src/mem/ derives from MemModel: the
+                     three protocol models are the only latency sources, and
+                     observers implement SimObserver (sim/observer.hpp)
   raw-lock           builder lock sites must go through detail::maybe_lock so
                      --elide-locks fault injection stays total
   suppress-reason    a suppression without a reason string is itself a finding
@@ -31,12 +32,8 @@ Suppression syntax (same line, or a comment line directly above):
 A reasonless allow() does NOT suppress — it is reported, and so is the
 finding it failed to suppress.
 
-This is the portable engine (stdlib Python, lexical but comment/string-aware
-with real scope tracking). `tools/ptblint/PtbLint.cpp` is the Clang
-AST-matcher implementation of the same catalogue, built with
--DPTB_BUILD_LINT=ON where Clang dev packages exist; both emit the same JSON
-schema and honour the same suppressions, so CI and the fixture tests can use
-whichever is available (see docs/LINT.md).
+Stdlib Python only: lexical, but comment/string-aware with real scope
+tracking (see docs/LINT.md).
 
 Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/internal error.
 """
@@ -53,24 +50,18 @@ DETERMINISTIC_DIRS = ("src/sim", "src/mem", "src/treebuild", "src/bh", "src/rt",
                       "src/platform")
 OBSERVER_DIRS = ("src/trace", "src/race", "src/prof", "src/sight", "src/anatomy")
 BUILDER_DIRS = ("src/treebuild",)
-MEM_DIR = "src/mem"  # protocol models live here; decorators must not
+MEM_DIR = "src/mem"  # the only home of MemModel subclasses
 
 CHECKS = {
     "wall-clock": "host time/entropy source in deterministic code",
     "ptr-key-order": "pointer-keyed ordered container (address-order iteration)",
     "unordered-iter": "iteration over an unordered container",
     "observer-mutation": "observer layer mutates simulation state",
-    "decorator-latency": "MemModel decorator perturbs the forwarded latency",
+    "mem-subclass": "class outside src/mem/ derives from MemModel",
     "raw-lock": "builder lock site bypasses detail::maybe_lock",
     "addr-stream": "host address formatted into observable output",
     "suppress-reason": "suppression without a reason string",
     "suppress-unknown": "suppression names an unknown check",
-}
-
-LATENCY_HOOKS = {
-    "on_read", "on_write", "on_rmw", "on_acquire", "on_release",
-    "on_barrier_arrive", "on_barrier_depart", "on_atomic",
-    "on_read_shared", "on_read_shared_span",
 }
 
 WALLCLOCK_PATTERNS = [
@@ -387,12 +378,6 @@ class FileContext:
         self.policy_path = vpath if vpath else rel_path
         self.rel_path = rel_path
         self.scopes = scan_scopes(self.code)
-        # Classes declared in THIS file as deriving from MemModel. Whether a
-        # class is a decorator (outside src/mem) is decided by the policy
-        # path of its declaration, so the global set carries that bit.
-        self.memmodel_classes = {
-            sc.name for sc in self.scopes
-            if sc.kind == "class" and sc.derives_memmodel}
         # offset of the start of each line, for offset->line mapping
         self.line_offsets = []
         off = 0
@@ -568,106 +553,17 @@ def check_observer(ctx, out):
                 "already computed (take `const SimContext&`)"))
 
 
-def body_of(ctx, scope):
-    end = scope.end if scope.end is not None else len(ctx.code)
-    return ctx.code[scope.start + 1:end], scope.start + 1
-
-
-INNER_CALL_RE = re.compile(r"\binner_?\s*->\s*(on_\w+)\s*\(")
-
-
-def check_decorator(ctx, out, decorator_classes):
-    if ctx.policy_path.startswith(MEM_DIR.rstrip("/") + "/"):
-        return
-    if not ctx.policy_path.startswith("src/"):
+def check_mem_subclass(ctx, out):
+    if not ctx.policy_path.startswith("src/") or \
+            ctx.policy_path.startswith(MEM_DIR.rstrip("/") + "/"):
         return
     for sc in ctx.scopes:
-        if sc.name not in LATENCY_HOOKS:
-            continue
-        # Whose hook is this? An explicit `Foo::on_x` qualifier (out-of-line
-        # definition) or the enclosing class body. Only classes known to
-        # derive from MemModel outside src/mem/ are decorators; a free
-        # function that happens to be called on_read is not.
-        owner = sc.qualifier
-        if owner is None:
-            cls = enclosing_scope(ctx.scopes, sc.start, "class")
-            owner = cls.name if cls else None
-        body, base = body_of(ctx, sc)
-        inner_calls = list(INNER_CALL_RE.finditer(body))
-        if owner not in decorator_classes and not inner_calls:
-            continue
-        line = ctx.line_of_offset(sc.start)
-        if not inner_calls:
+        if sc.kind == "class" and sc.derives_memmodel:
             out.append(Finding(
-                "decorator-latency", ctx.rel_path, line, 1,
-                f"{sc.name} in a MemModel decorator never forwards to the "
-                "inner model: every access path must return the inner "
-                "latency unmodified (synthesizing latency perturbs virtual "
-                "time)"))
-            continue
-        for call in inner_calls:
-            # Span of the full call expression.
-            i = call.end() - 1
-            depth = 0
-            while i < len(body):
-                if body[i] == "(":
-                    depth += 1
-                elif body[i] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                i += 1
-            after = body[i + 1:i + 8].lstrip()
-            before = body[:call.start()].rstrip()
-            call_line = ctx.line_of_offset(base + call.start())
-            if after[:2] in ("+=", "-=", "*=", "/=", "%="):
-                pass  # handled by variable rules below
-            elif after[:1] in "+-*/%":
-                out.append(Finding(
-                    "decorator-latency", ctx.rel_path, call_line, 1,
-                    f"arithmetic on the latency forwarded from inner->"
-                    f"{call.group(1)}: decorators must return it unmodified"))
-                continue
-            if before.endswith(("+", "-", "*", "/", "%")):
-                out.append(Finding(
-                    "decorator-latency", ctx.rel_path, call_line, 1,
-                    f"arithmetic on the latency forwarded from inner->"
-                    f"{call.group(1)}: decorators must return it unmodified"))
-                continue
-            # Discarded result: statement-position call in a latency hook.
-            if (before.endswith((";", "{", "}")) or before == "") and \
-                    re.search(r"\breturn\b", body):
-                stmt_ret = re.match(r"\s*;", body[i + 1:])
-                if stmt_ret:
-                    out.append(Finding(
-                        "decorator-latency", ctx.rel_path, call_line, 1,
-                        f"result of inner->{call.group(1)} is discarded while "
-                        "the hook returns something else: the inner latency "
-                        "must be the returned value"))
-                    continue
-            # Assigned to a variable: that variable must not be modified.
-            am = re.search(r"([A-Za-z_]\w*)\s*=\s*$", before)
-            if am:
-                var = am.group(1)
-                rest = body[i + 1:]
-                mod = re.search(
-                    r"\b" + re.escape(var) + r"\s*(?:[+\-*/%]=|=(?!=)\s*(?!"
-                    + re.escape(var) + r"\s*;))", rest)
-                if mod:
-                    out.append(Finding(
-                        "decorator-latency", ctx.rel_path,
-                        ctx.line_of_offset(base + i + 1 + mod.start()), 1,
-                        f"`{var}` holds the latency forwarded from inner->"
-                        f"{call.group(1)} but is modified before being "
-                        "returned"))
-                    continue
-                ret = re.search(r"\breturn\b([^;]*)\b" + re.escape(var) + r"\b([^;]*);", rest)
-                if ret and re.search(r"[+\-*/%]", ret.group(1) + ret.group(2)):
-                    out.append(Finding(
-                        "decorator-latency", ctx.rel_path,
-                        ctx.line_of_offset(base + i + 1 + ret.start()), 1,
-                        f"return applies arithmetic to `{var}`, the latency "
-                        f"forwarded from inner->{call.group(1)}"))
+                "mem-subclass", ctx.rel_path, ctx.line_of_offset(sc.start), 1,
+                f"{sc.name} derives from MemModel outside src/mem/: only the "
+                "protocol models may charge latency; observe charges through "
+                "SimObserver (sim/observer.hpp) instead of wrapping a model"))
 
 
 def check_addr_stream(ctx, out):
@@ -783,13 +679,10 @@ def main(argv):
         os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     files = collect_files(root, args.paths)
 
-    # First pass: gather cross-file facts. (a) unordered-container member
-    # names declared anywhere in the scanned set, so iteration over a member
-    # declared in a sibling header is still caught in the .cpp; (b) MemModel
-    # subclasses declared outside src/mem/ — their out-of-line `Foo::on_x`
-    # definitions are decorator hooks wherever they appear.
+    # First pass: gather unordered-container member names declared anywhere
+    # in the scanned set, so iteration over a member declared in a sibling
+    # header is still caught in the .cpp.
     global_unordered = set()
-    decorator_classes = set()
     ctxs = []
     for f in files:
         rel = os.path.relpath(f, root)
@@ -803,9 +696,6 @@ def main(argv):
         ctxs.append(ctx)
         if ctx.in_dirs(DETERMINISTIC_DIRS) or ctx.in_dirs(OBSERVER_DIRS):
             global_unordered |= unordered_decl_names(ctx)
-        if ctx.policy_path.startswith("src/") and \
-                not ctx.policy_path.startswith(MEM_DIR.rstrip("/") + "/"):
-            decorator_classes |= ctx.memmodel_classes
 
     findings = []
     for ctx in ctxs:
@@ -814,7 +704,7 @@ def main(argv):
         check_ptr_key(ctx, fs)
         check_unordered_iter(ctx, fs, global_unordered)
         check_observer(ctx, fs)
-        check_decorator(ctx, fs, decorator_classes)
+        check_mem_subclass(ctx, fs)
         check_addr_stream(ctx, fs)
         check_raw_lock(ctx, fs)
         meta = []
@@ -840,7 +730,6 @@ def main(argv):
         doc = {
             "tool": "ptblint",
             "schema_version": 1,
-            "engine": "python",
             "root": root,
             "files_scanned": len(files),
             "checks": sorted(CHECKS),
