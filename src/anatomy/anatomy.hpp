@@ -68,9 +68,9 @@ const char* category_name(Category c);
 /// ProcStats.
 class Collector final : public SimObserver {
  public:
-  void on_run_start(RunStartEvent e) override { begin_run(e.nprocs); }
-  void on_phase(PhaseEvent e) override { phase_close(e.proc, e.from, e.stats); }
-  void on_finish(PhaseEvent e) override { phase_close(e.proc, e.from, e.stats); }
+  void on_run_start(const RunStartEvent& e) override { begin_run(e.nprocs); }
+  void on_phase(const PhaseEvent& e) override { phase_close(e.proc, e.from, e.stats); }
+  void on_finish(const PhaseEvent& e) override { phase_close(e.proc, e.from, e.stats); }
 
   void begin_run(int nprocs);
 

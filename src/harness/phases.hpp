@@ -5,9 +5,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 
 #include "bh/forcekernel.hpp"
 #include "harness/state.hpp"
+#include "sim/walk_ahead.hpp"
 #include "support/check.hpp"
 #include "trace/trace.hpp"
 #include "treebuild/annotate.hpp"
@@ -237,6 +239,123 @@ void gather_walk(RT& rt, AppState& st, Node* n, const Vec3& pos, std::int32_t se
   }
 }
 
+/// A processor's interaction totals over one force phase.
+struct ForceCounts {
+  std::uint64_t cells = 0;
+  std::uint64_t bodies = 0;
+};
+
+/// One body's walk as the walk-ahead helper hands it to its section.
+struct ForceOut {
+  Vec3 acc;
+  std::uint64_t cells;
+  std::uint64_t bodies;
+};
+
+/// The force loop over bodies ids[0..count): read each body, walk the tree,
+/// charge the interactions, evaluate, and store the acceleration and cost.
+/// Native runtimes run it over the whole partition; under SimRT a section
+/// runs it for the chunks it walks itself.
+template <class RT>
+void force_bodies(RT& rt, AppState& st, const std::int32_t* ids, std::size_t count,
+                  ForceCounts& sum) {
+  const auto pi = static_cast<std::size_t>(rt.self());
+  const double theta2 = st.cfg.theta * st.cfg.theta;
+  const double eps2 = st.cfg.eps * st.cfg.eps;
+  Node* root = st.tree.root;
+  const bool slow = bh::force_slowpath_enabled();
+  bh::InteractionList& il = st.force_ilist[pi];
+  trace::Tracer* const tr = rt.tracer();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::int32_t bi = ids[i];
+    Body& b = st.bodies[static_cast<std::size_t>(bi)];
+    rt.read_shared(st.body_charge(bi), 48);
+    Vec3 acc{};
+    std::uint64_t nc = 0;
+    std::uint64_t nb = 0;
+    if (slow) {
+      force_walk(rt, st, root, b.pos, bi, theta2, eps2, acc, nc, nb);
+    } else if (tr == nullptr) {
+      il.clear();
+      gather_walk(rt, st, root, b.pos, bi, theta2, il);
+      nc = il.cells();
+      nb = il.bodies();
+      rt.compute_n(work::kBodyCellInteraction, nc);
+      rt.compute_n(work::kBodyBodyInteraction, nb);
+      acc = bh::evaluate(il, b.pos, eps2);
+    } else {
+      // Traced: same work, bracketed into per-body gather/evaluate
+      // sub-spans. The interaction compute is charged after the gather
+      // timestamp so its cost lands in the evaluate span.
+      il.clear();
+      const std::uint64_t t0 = rt.trace_now();
+      gather_walk(rt, st, root, b.pos, bi, theta2, il);
+      const std::uint64_t t1 = rt.trace_now();
+      nc = il.cells();
+      nb = il.bodies();
+      rt.compute_n(work::kBodyCellInteraction, nc);
+      rt.compute_n(work::kBodyBodyInteraction, nb);
+      acc = bh::evaluate(il, b.pos, eps2);
+      const std::uint64_t t2 = rt.trace_now();
+      tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
+      tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, t2);
+    }
+    b.acc = acc;
+    b.cost = static_cast<double>(nc + nb);
+    sum.cells += nc;
+    sum.bodies += nb;
+  }
+}
+
+/// The walk-ahead plan of a force phase: the helper walks every processor's
+/// partition with the same gather_walk, recording its charges, and evaluates
+/// the list itself. It reads only the tree and the bodies' positions and
+/// masses, which nothing writes during the phase.
+inline WalkAhead::Plan force_plan(AppState& st) {
+  WalkAhead::Plan plan;
+  for (const auto& part : st.partition) plan.units.push_back(part.size());
+  plan.out_bytes = sizeof(ForceOut);
+  plan.walk = [&st, root = st.tree.root, theta2 = st.cfg.theta * st.cfg.theta,
+               eps2 = st.cfg.eps * st.cfg.eps,
+               il = bh::InteractionList{}](int q, std::size_t u, ChargeRecorder& rec,
+                                           void* out) mutable {
+    const std::int32_t bi = st.partition[static_cast<std::size_t>(q)][u];
+    const Vec3 pos = st.bodies[static_cast<std::size_t>(bi)].pos;
+    il.clear();
+    gather_walk(rec, st, root, pos, bi, theta2, il);
+    const ForceOut o{bh::evaluate(il, pos, eps2), il.cells(), il.bodies()};
+    std::memcpy(out, &o, sizeof o);
+  };
+  return plan;
+}
+
+/// Charges a chunk the helper walked, body by body, in the order and with
+/// the trace spans force_bodies would have produced, and stores its results.
+template <class RT>
+void force_replay(RT& rt, AppState& st, const std::int32_t* ids, const WalkAhead::Chunk& ch,
+                  ForceCounts& sum) {
+  trace::Tracer* const tr = rt.tracer();
+  for (std::size_t u = 0; u < ch.count; ++u) {
+    const std::int32_t bi = ids[u];
+    const ForceOut o = ch.out<ForceOut>(u);
+    rt.read_shared(st.body_charge(bi), 48);
+    const std::uint64_t t0 = rt.trace_now();
+    rt.replay(ch.unit_begin(u), ch.unit_size(u));
+    const std::uint64_t t1 = rt.trace_now();
+    rt.compute_n(work::kBodyCellInteraction, o.cells);
+    rt.compute_n(work::kBodyBodyInteraction, o.bodies);
+    if (tr != nullptr) {
+      tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
+      tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, rt.trace_now());
+    }
+    Body& b = st.bodies[static_cast<std::size_t>(bi)];
+    b.acc = o.acc;
+    b.cost = static_cast<double>(o.cells + o.bodies);
+    sum.cells += o.cells;
+    sum.bodies += o.bodies;
+  }
+}
+
 }  // namespace detail
 
 /// Computes accelerations for this processor's bodies; stores each body's
@@ -250,61 +369,43 @@ void gather_walk(RT& rt, AppState& st, Node* n, const Vec3& pos, std::int32_t se
 /// buffer drains at the end of the walk, so to speak — which keeps the
 /// section pure and charges exactly one ordered write of 32 bytes (acc +
 /// cost) per body either way.
+///
+/// A runtime with a walk-ahead helper (SimRT) hands the walks to it: the
+/// first processor to enter the phase arms it, and each section replays the
+/// chunks the helper walked and walks the rest itself. The
+/// PTB_FORCE_SLOWPATH oracle keeps the inline walk.
 template <class RT>
 void forces_phase(RT& rt, AppState& st) {
-  const auto pi = static_cast<std::size_t>(rt.self());
-  const double theta2 = st.cfg.theta * st.cfg.theta;
-  const double eps2 = st.cfg.eps * st.cfg.eps;
-  std::uint64_t cells = 0;
-  std::uint64_t bodies = 0;
-  Node* root = st.tree.root;
-  const bool slow = bh::force_slowpath_enabled();
-  bh::InteractionList& il = st.force_ilist[pi];
-  trace::Tracer* const tr = rt.tracer();
-  rt.unordered([&] {
-    for (std::int32_t bi : st.partition[pi]) {
-      Body& b = st.bodies[static_cast<std::size_t>(bi)];
-      rt.read_shared(st.body_charge(bi), 48);
-      Vec3 acc{};
-      std::uint64_t nc = 0;
-      std::uint64_t nb = 0;
-      if (slow) {
-        detail::force_walk(rt, st, root, b.pos, bi, theta2, eps2, acc, nc, nb);
-      } else if (tr == nullptr) {
-        il.clear();
-        detail::gather_walk(rt, st, root, b.pos, bi, theta2, il);
-        nc = il.cells();
-        nb = il.bodies();
-        rt.compute_n(work::kBodyCellInteraction, nc);
-        rt.compute_n(work::kBodyBodyInteraction, nb);
-        acc = bh::evaluate(il, b.pos, eps2);
-      } else {
-        // Traced: same work, bracketed into per-body gather/evaluate
-        // sub-spans. The interaction compute is charged after the gather
-        // timestamp so its cost lands in the evaluate span.
-        il.clear();
-        const std::uint64_t t0 = rt.trace_now();
-        detail::gather_walk(rt, st, root, b.pos, bi, theta2, il);
-        const std::uint64_t t1 = rt.trace_now();
-        nc = il.cells();
-        nb = il.bodies();
-        rt.compute_n(work::kBodyCellInteraction, nc);
-        rt.compute_n(work::kBodyBodyInteraction, nb);
-        acc = bh::evaluate(il, b.pos, eps2);
-        const std::uint64_t t2 = rt.trace_now();
-        tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
-        tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, t2);
-      }
-      b.acc = acc;
-      b.cost = static_cast<double>(nc + nb);
-      cells += nc;
-      bodies += nb;
+  const int p = rt.self();
+  const auto pi = static_cast<std::size_t>(p);
+  const auto& part = st.partition[pi];
+  detail::ForceCounts sum;
+  bool walked_ahead = false;
+  if constexpr (requires { rt.walk_ahead(); }) {
+    if (!bh::force_slowpath_enabled()) {
+      WalkAhead& wa = rt.walk_ahead();
+      wa.enter(p, [&st] { return detail::force_plan(st); });
+      constexpr std::size_t per = WalkAhead::kChunkUnits;
+      rt.unordered([&] {
+        for (std::size_t first = 0, k = 0; first < part.size(); first += per, ++k) {
+          if (const WalkAhead::Chunk* ch = wa.take(p, k)) {
+            detail::force_replay(rt, st, part.data() + first, *ch, sum);
+            wa.release(ch);
+          } else {
+            detail::force_bodies(rt, st, part.data() + first,
+                                 std::min(per, part.size() - first), sum);
+          }
+        }
+      });
+      walked_ahead = true;
     }
-  });
-  for (std::int32_t bi : st.partition[pi]) rt.write(st.body_charge(bi), 32);
-  st.interactions[pi] = cells + bodies;
-  st.interactions_cell[pi] = cells;
-  st.interactions_body[pi] = bodies;
+  }
+  if (!walked_ahead)
+    rt.unordered([&] { detail::force_bodies(rt, st, part.data(), part.size(), sum); });
+  for (std::int32_t bi : part) rt.write(st.body_charge(bi), 32);
+  st.interactions[pi] = sum.cells + sum.bodies;
+  st.interactions_cell[pi] = sum.cells;
+  st.interactions_body[pi] = sum.bodies;
 }
 
 // ---------------------------------------------------------------------------

@@ -36,61 +36,40 @@ class MemDispatch {
 
   MemModelKind kind() const { return kind_; }
 
-  std::uint64_t on_read_shared(int proc, const void* p, std::size_t n) const {
+  /// Calls `f` with the bound model as its concrete type (the virtual base
+  /// on the oracle route). The one switch on the kind: the single charges
+  /// below go through it, and a loop of charges inside `f` pays it once and
+  /// can inline the model's calls (the batched replay, SimProc::replay).
+  template <class F>
+  decltype(auto) visit(F&& f) const {
     switch (kind_) {
       case MemModelKind::kIdeal:
-        return ideal_->on_read_shared(proc, p, n);
+        return f(*ideal_);
       case MemModelKind::kInvalidation:
-        return inval_->on_read_shared(proc, p, n);
+        return f(*inval_);
       case MemModelKind::kHlrc:
-        return hlrc_->on_read_shared(proc, p, n);
+        return f(*hlrc_);
       case MemModelKind::kOther:
         break;
     }
-    return base_->on_read_shared(proc, p, n);
+    return f(*base_);
+  }
+
+  std::uint64_t on_read_shared(int proc, const void* p, std::size_t n) const {
+    return visit([&](auto& m) { return m.on_read_shared(proc, p, n); });
   }
 
   std::uint64_t on_read_shared_span(int proc, const void* p, std::size_t n,
                                     std::size_t stride, std::size_t count) const {
-    switch (kind_) {
-      case MemModelKind::kIdeal:
-        return ideal_->on_read_shared_span(proc, p, n, stride, count);
-      case MemModelKind::kInvalidation:
-        return inval_->on_read_shared_span(proc, p, n, stride, count);
-      case MemModelKind::kHlrc:
-        return hlrc_->on_read_shared_span(proc, p, n, stride, count);
-      case MemModelKind::kOther:
-        break;
-    }
-    return base_->on_read_shared_span(proc, p, n, stride, count);
+    return visit([&](auto& m) { return m.on_read_shared_span(proc, p, n, stride, count); });
   }
 
   std::uint64_t on_read(int proc, const void* p, std::size_t n, std::uint64_t now) const {
-    switch (kind_) {
-      case MemModelKind::kIdeal:
-        return ideal_->on_read(proc, p, n, now);
-      case MemModelKind::kInvalidation:
-        return inval_->on_read(proc, p, n, now);
-      case MemModelKind::kHlrc:
-        return hlrc_->on_read(proc, p, n, now);
-      case MemModelKind::kOther:
-        break;
-    }
-    return base_->on_read(proc, p, n, now);
+    return visit([&](auto& m) { return m.on_read(proc, p, n, now); });
   }
 
   std::uint64_t on_write(int proc, const void* p, std::size_t n, std::uint64_t now) const {
-    switch (kind_) {
-      case MemModelKind::kIdeal:
-        return ideal_->on_write(proc, p, n, now);
-      case MemModelKind::kInvalidation:
-        return inval_->on_write(proc, p, n, now);
-      case MemModelKind::kHlrc:
-        return hlrc_->on_write(proc, p, n, now);
-      case MemModelKind::kOther:
-        break;
-    }
-    return base_->on_write(proc, p, n, now);
+    return visit([&](auto& m) { return m.on_write(proc, p, n, now); });
   }
 
  private:

@@ -78,4 +78,11 @@ struct PlatformSpec {
   static std::string names_joined(char sep = '|');
 };
 
+/// The virtual ns one compute(units) call charges: units × ns_per_work,
+/// truncated per call. The one cost rule for compute, whether charged
+/// directly (SimProc) or recorded for a later replay (ChargeRecorder).
+inline std::uint64_t compute_ns(double units, double ns_per_work) {
+  return static_cast<std::uint64_t>(units * ns_per_work);
+}
+
 }  // namespace ptb

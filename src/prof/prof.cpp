@@ -177,19 +177,14 @@ void Recorder::finish(int p, std::uint64_t now, std::uint64_t remote_cum) {
 
 void Recorder::charge(int p, const void* addr, std::uint64_t cost_ns, std::uint64_t remote_delta,
                       std::uint64_t inval_delta) {
+  if (phase_[static_cast<std::size_t>(p)] != Phase::kTreeBuild) return;
   LineStats& ls = cap_.lines[reinterpret_cast<std::uintptr_t>(addr) >> 6];
-  ls.accesses += 1;
-  ls.stall_ns += cost_ns;
-  ls.remote += remote_delta;
-  ls.inval += inval_delta;
-  if (phase_[static_cast<std::size_t>(p)] == Phase::kTreeBuild) {
-    ls.tb_stall_ns += cost_ns;
-    ls.tb_remote += remote_delta;
-    ls.tb_inval += inval_delta;
-  }
+  ls.tb_stall_ns += cost_ns;
+  ls.tb_remote += remote_delta;
+  ls.tb_inval += inval_delta;
 }
 
-void Recorder::on_charge(ChargeEvent e) {
+void Recorder::on_charge(const ChargeEvent& e) {
   const std::uint64_t end = e.now + e.cost;
   const std::uint64_t remote = e.after.remote_misses;
   const Phase ph = phase_[static_cast<std::size_t>(e.proc)];
@@ -222,24 +217,26 @@ void Recorder::on_charge(ChargeEvent e) {
   }
 }
 
-void Recorder::on_lock_request(LockEvent e) {
+void Recorder::on_lock_request(const LockEvent& e) {
   lock_wait_begin(e.proc, e.lock, e.request_ns, phase_[static_cast<std::size_t>(e.proc)]);
 }
 
-void Recorder::on_lock_release(LockEvent e) {
+void Recorder::on_lock_release(const LockEvent& e) {
   // Runs after the releaser's unlock event (its kRelease charge).
   if (e.peer >= 0) lock_grant(e.peer, e.proc, e.grant_ns);
 }
 
-void Recorder::on_barrier_release(BarrierReleaseEvent e) {
+void Recorder::on_barrier_release(const BarrierReleaseEvent& e) {
   barrier_release(e.release_ns, e.last);
 }
 
-void Recorder::on_phase(PhaseEvent e) {
+void Recorder::on_phase(const PhaseEvent& e) {
   phase_begin(e.proc, e.to, e.now, e.stats.remote_misses);
 }
 
-void Recorder::on_finish(PhaseEvent e) { finish(e.proc, e.now, e.stats.remote_misses); }
+void Recorder::on_finish(const PhaseEvent& e) {
+  finish(e.proc, e.now, e.stats.remote_misses);
+}
 
 std::string prof_path_from(const std::string& flag_value) {
   if (!flag_value.empty()) return flag_value;

@@ -88,15 +88,11 @@ struct Event {
   bool waited() const { return cause >= 0; }
 };
 
-/// Per-64-byte-line memory charge totals (whole run and the measured
-/// tree-build phase separately), keyed by `addr >> 6`. Resolved to tree
-/// cells by the harness for the depth-contention table.
+/// Per-64-byte-line memory charge totals of the measured tree-build phase,
+/// keyed by `addr >> 6`. Resolved to tree cells by the harness for the
+/// depth-contention table, the one report that reads them.
 struct LineStats {
-  std::uint64_t accesses = 0;
-  std::uint64_t stall_ns = 0;
-  std::uint64_t remote = 0;
-  std::uint64_t inval = 0;
-  std::uint64_t tb_stall_ns = 0;  // Phase::kTreeBuild only
+  std::uint64_t tb_stall_ns = 0;
   std::uint64_t tb_remote = 0;
   std::uint64_t tb_inval = 0;
 };
@@ -124,13 +120,13 @@ struct Capture {
 class Recorder final : public SimObserver {
  public:
   UnorderedUse unordered_use() const override { return UnorderedUse::kPerElement; }
-  void on_run_start(RunStartEvent e) override { begin_run(e.nprocs); }
-  void on_charge(ChargeEvent e) override;
-  void on_lock_request(LockEvent e) override;
-  void on_lock_release(LockEvent e) override;
-  void on_barrier_release(BarrierReleaseEvent e) override;
-  void on_phase(PhaseEvent e) override;
-  void on_finish(PhaseEvent e) override;
+  void on_run_start(const RunStartEvent& e) override { begin_run(e.nprocs); }
+  void on_charge(const ChargeEvent& e) override;
+  void on_lock_request(const LockEvent& e) override;
+  void on_lock_release(const LockEvent& e) override;
+  void on_barrier_release(const BarrierReleaseEvent& e) override;
+  void on_phase(const PhaseEvent& e) override;
+  void on_finish(const PhaseEvent& e) override;
 
   /// Drops any previous capture.
   void begin_run(int nprocs);
@@ -159,8 +155,8 @@ class Recorder final : public SimObserver {
   void phase_begin(int p, Phase ph, std::uint64_t now, std::uint64_t remote_cum);
   void finish(int p, std::uint64_t now, std::uint64_t remote_cum);
 
-  /// One charged ordered access of [addr, addr+n): aggregates into the
-  /// per-line table (no log entry).
+  /// One charged access of [addr, addr+n): aggregates into the per-line
+  /// table when p is in the tree-build phase (no log entry).
   void charge(int p, const void* addr, std::uint64_t cost_ns, std::uint64_t remote_delta,
               std::uint64_t inval_delta);
 

@@ -69,14 +69,14 @@ RaceDetector::RaceDetector(int nprocs) : nprocs_(nprocs) {
   report_.enabled = true;
 }
 
-void RaceDetector::on_region(RegionEvent e) {
+void RaceDetector::on_region(const RegionEvent& e) {
   regions_.add(e.base, e.bytes, e.policy, e.fixed_home, e.name, nprocs_);
   // Regions only grow (first_block is append-ordered), so existing shadow
   // indices stay valid; new granules start untouched.
   shadow_.grow(regions_.total_blocks());
 }
 
-void RaceDetector::on_charge(ChargeEvent e) {
+void RaceDetector::on_charge(const ChargeEvent& e) {
   switch (e.kind) {
     case ChargeKind::kRead:
     case ChargeKind::kWrite: {
@@ -117,7 +117,7 @@ void RaceDetector::on_charge(ChargeEvent e) {
   }
 }
 
-void RaceDetector::on_phase(PhaseEvent e) {
+void RaceDetector::on_phase(const PhaseEvent& e) {
   phase_[static_cast<std::size_t>(e.proc)] = e.to;
   refresh_epoch(e.proc);
 }

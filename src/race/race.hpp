@@ -194,10 +194,10 @@ class RaceDetector final : public SimObserver {
 
   const RaceReport& report() const { return report_; }
 
-  void on_run_start(RunStartEvent e) override { tracer_ = e.tracer; }
-  void on_region(RegionEvent e) override;
-  void on_charge(ChargeEvent e) override;
-  void on_phase(PhaseEvent e) override;
+  void on_run_start(const RunStartEvent& e) override { tracer_ = e.tracer; }
+  void on_region(const RegionEvent& e) override;
+  void on_charge(const ChargeEvent& e) override;
+  void on_phase(const PhaseEvent& e) override;
 
  private:
   /// Per-granule shadow word (24 bytes): last-write epoch, last-read epoch

@@ -189,7 +189,7 @@ void SightModel::add_region(const void* base, std::size_t bytes, HomePolicy poli
   refresh_granules();
 }
 
-void SightModel::on_region(RegionEvent e) {
+void SightModel::on_region(const RegionEvent& e) {
   add_region(e.base, e.bytes, e.policy, e.fixed_home, e.name);
 }
 
@@ -341,7 +341,7 @@ void SightModel::observe(int proc, const void* p, std::size_t n, bool is_write,
   }
 }
 
-void SightModel::on_charge(ChargeEvent e) {
+void SightModel::on_charge(const ChargeEvent& e) {
   if (e.kind == ChargeKind::kReadShared) {
     // No virtual timestamp on the unordered path (the clock has not folded
     // the pending cost); now_hint_ gives trace instants a consistent,
@@ -375,7 +375,9 @@ void SightModel::on_charge(ChargeEvent e) {
   }
 }
 
-void SightModel::on_phase(PhaseEvent e) { phase_[static_cast<std::size_t>(e.proc)] = e.to; }
+void SightModel::on_phase(const PhaseEvent& e) {
+  phase_[static_cast<std::size_t>(e.proc)] = e.to;
+}
 
 // --- report assembly --------------------------------------------------------
 

@@ -157,10 +157,10 @@ class SightModel final : public SimObserver {
   SightModel(const PlatformSpec& spec, int nprocs);
 
   UnorderedUse unordered_use() const override { return UnorderedUse::kSpans; }
-  void on_run_start(RunStartEvent e) override { tracer_ = e.tracer; }
-  void on_region(RegionEvent e) override;
-  void on_charge(ChargeEvent e) override;
-  void on_phase(PhaseEvent e) override;
+  void on_run_start(const RunStartEvent& e) override { tracer_ = e.tracer; }
+  void on_region(const RegionEvent& e) override;
+  void on_charge(const ChargeEvent& e) override;
+  void on_phase(const PhaseEvent& e) override;
 
   /// Registers a region in the observer's table ONLY — the protocol model
   /// never sees it, so observing it cannot perturb virtual time. Used for

@@ -4,8 +4,8 @@
 // collector all watch a simulated run through these hooks. SimContext
 // notifies its attached observers, in attach order, at fixed points of each
 // operation: after a protocol-model charge, and at lock, barrier, phase,
-// finish and scheduler events. Every hook receives its event by value and
-// returns nothing, so an observer cannot move virtual time: the model has
+// finish and scheduler events. Every hook receives its event by const
+// reference and returns nothing, so an observer cannot move virtual time: the model has
 // already been charged through the sealed dispatch when the hook runs, and
 // observed runs are bit-identical to unobserved ones by construction.
 //
@@ -136,16 +136,16 @@ class SimObserver {
 
   virtual UnorderedUse unordered_use() const { return UnorderedUse::kNone; }
 
-  virtual void on_run_start(RunStartEvent) {}
-  virtual void on_region(RegionEvent) {}
-  virtual void on_charge(ChargeEvent) {}
-  virtual void on_lock_request(LockEvent) {}
-  virtual void on_lock_grant(LockEvent) {}
-  virtual void on_lock_release(LockEvent) {}
-  virtual void on_barrier_release(BarrierReleaseEvent) {}
-  virtual void on_phase(PhaseEvent) {}
-  virtual void on_finish(PhaseEvent) {}
-  virtual void on_switch(SwitchEvent) {}
+  virtual void on_run_start(const RunStartEvent&) {}
+  virtual void on_region(const RegionEvent&) {}
+  virtual void on_charge(const ChargeEvent&) {}
+  virtual void on_lock_request(const LockEvent&) {}
+  virtual void on_lock_grant(const LockEvent&) {}
+  virtual void on_lock_release(const LockEvent&) {}
+  virtual void on_barrier_release(const BarrierReleaseEvent&) {}
+  virtual void on_phase(const PhaseEvent&) {}
+  virtual void on_finish(const PhaseEvent&) {}
+  virtual void on_switch(const SwitchEvent&) {}
 };
 
 }  // namespace ptb

@@ -178,6 +178,13 @@ void SimContext::run_impl(const std::function<void(SimProc&)>& f) {
     run_fibers(f);
   else
     run_parallel(f);
+  if (walk_ahead_ != nullptr) walk_ahead_->stop();
+}
+
+WalkAhead& SimContext::walk_ahead() {
+  if (walk_ahead_ == nullptr)
+    walk_ahead_ = std::make_unique<WalkAhead>(nprocs_, spec_.ns_per_work);
+  return *walk_ahead_;
 }
 
 void SimContext::finish_proc(int p) {

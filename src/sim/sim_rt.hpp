@@ -64,6 +64,11 @@
 // whether or not anyone observes, and with nothing attached an operation
 // pays one empty-list check. kParallel overlaps unordered sections unless
 // an attached observer declares that it reads unordered charges.
+//
+// Walk-ahead: a phase may hand the pure walks of its unordered sections to
+// the context's helper thread (walk_ahead(), sim/walk_ahead.hpp) and charge
+// the recorded results with SimProc::replay. The helper only records; every
+// charge still runs on the section's own thread, in the recorded order.
 #pragma once
 
 #include <atomic>
@@ -85,6 +90,7 @@
 #include "sim/fiber.hpp"
 #include "sim/observer.hpp"
 #include "sim/turn_heap.hpp"
+#include "sim/walk_ahead.hpp"
 
 namespace ptb {
 
@@ -167,6 +173,18 @@ class SimProc {
   /// their fold points define virtual-time order.
   void read_shared_span(const void* p, std::size_t n, std::size_t stride,
                         std::size_t count);
+
+  /// Charges `n` recorded unordered charges (ChargeRecorder) exactly as the
+  /// calls they were recorded from. With no observer reading unordered
+  /// charges it is one pass through the sealed dispatch and one add to the
+  /// pending bucket and the stall total: the costs are integers far below
+  /// 2^53, so one sum of them is the sum of the adds. Otherwise each record
+  /// goes through read_shared / read_shared_span, and observers see every
+  /// ChargeEvent they would have seen.
+  void replay(const ChargeRecord* r, std::size_t n);
+
+  /// This simulation's walk-ahead helper (sim/walk_ahead.hpp).
+  WalkAhead& walk_ahead() const;
 
   /// Combined charge + ACTUAL load/store of a shared atomic, executed at
   /// this processor's virtual-time turn. This is what makes data-dependent
@@ -252,6 +270,13 @@ class SimContext {
   void set_profiler(prof::Recorder* r);
   /// The anatomy collector snapshots protocol counters at phase boundaries.
   void set_anatomy(anatomy::Collector* c);
+  /// Attaches any other observer, notified after those above in attach order.
+  void add_observer(SimObserver* o) { replace_observer(nullptr, o); }
+
+  /// The walk-ahead helper that unordered phases may hand their walks to
+  /// (sim/walk_ahead.hpp). Created on first use; its helper thread starts at
+  /// the first phase armed in a run and stops when the run ends.
+  WalkAhead& walk_ahead();
 
   /// Runs f(SimProc&) SPMD on nprocs simulated processors, returning when
   /// all of them finish.
@@ -485,6 +510,8 @@ class SimContext {
   std::vector<int> section_done_;
   bool pool_shutdown_ = false;
 
+  std::unique_ptr<WalkAhead> walk_ahead_;
+
   /// One cache line per processor: pending_ is hammered by every unordered
   /// charge, and in the parallel backend different processors write their
   /// slots from different host threads at once.
@@ -509,20 +536,22 @@ class SimContext {
 
 inline int SimProc::nprocs() const { return ctx_->nprocs_; }
 
-// The three unordered hot-path operations are header-inline: together with
-// the sealed dispatch this turns the common-case charge into a direct call
-// chain the compiler can see end to end (docs/PERF.md).
+// The three unordered hot-path operations are header-inline: with the sealed
+// dispatch the common-case charge is a chain of direct calls, not virtual
+// ones, though the shipped build keeps SimProc::read_shared and the model's
+// read path out of line (docs/PERF.md §1). The loop that does inline the
+// model is the batched replay below, through MemDispatch::visit.
 
 inline void SimProc::compute(double units) {
   ctx_->pending_[static_cast<std::size_t>(self_)].v +=
-      static_cast<std::uint64_t>(units * ctx_->spec_.ns_per_work);
+      compute_ns(units, ctx_->spec_.ns_per_work);
 }
 
 inline void SimProc::compute_n(double units, std::uint64_t count) {
   // One call's truncated cost, multiplied: bit-identical to `count`
   // compute(units) calls (pending adds commute and truncate per call).
   ctx_->pending_[static_cast<std::size_t>(self_)].v +=
-      count * static_cast<std::uint64_t>(units * ctx_->spec_.ns_per_work);
+      count * compute_ns(units, ctx_->spec_.ns_per_work);
 }
 
 inline trace::Tracer* SimProc::tracer() const { return ctx_->tracer_; }
@@ -566,6 +595,50 @@ inline void SimProc::read_shared_span(const void* p, std::size_t n, std::size_t 
   ctx.pending_[static_cast<std::size_t>(self_)].v += cost;
   ctx.note_mem_stall(self_, cost);
 }
+
+namespace detail {
+
+/// The batched replay's loop over one concrete model: returns the summed
+/// memory cost of [r, end) and adds the folded compute to `work`.
+/// Flattened, so the model's read path inlines into the loop; that took
+/// about a sixth off the p=1 baseline's wall time (docs/PERF.md §10).
+template <class Model>
+[[gnu::flatten]] std::uint64_t replay_reads(Model& model, int proc, const ChargeRecord* r,
+                                           const ChargeRecord* end, std::uint64_t& work) {
+  std::uint64_t sum = 0;
+  for (; r != end; ++r) {
+    if (r->count == 1)
+      sum += model.on_read_shared(proc, r->addr, r->bytes);
+    else if (r->count > 1)
+      sum += model.on_read_shared_span(proc, r->addr, r->bytes, r->stride, r->count);
+    work += r->compute_ns;
+  }
+  return sum;
+}
+
+}  // namespace detail
+
+inline void SimProc::replay(const ChargeRecord* r, std::size_t n) {
+  SimContext& ctx = *ctx_;
+  std::uint64_t& pending = ctx.pending_[static_cast<std::size_t>(self_)].v;
+  if (!ctx.read_shared_observers_.empty() || ctx.mem_slowpath_) {
+    for (const ChargeRecord* end = r + n; r != end; ++r) {
+      if (r->count == 1)
+        read_shared(r->addr, r->bytes);
+      else if (r->count > 1)
+        read_shared_span(r->addr, r->bytes, r->stride, r->count);
+      pending += r->compute_ns;
+    }
+    return;
+  }
+  std::uint64_t work = 0;
+  const std::uint64_t mem = ctx.mem_fast_.visit(
+      [&](auto& model) { return detail::replay_reads(model, self_, r, r + n, work); });
+  pending += mem + work;
+  ctx.note_mem_stall(self_, mem);
+}
+
+inline WalkAhead& SimProc::walk_ahead() const { return ctx_->walk_ahead(); }
 
 inline void SimProc::unordered(std::function<void()> fn) {
   ctx_->op_unordered_run(self_, std::move(fn));

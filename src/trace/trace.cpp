@@ -28,7 +28,7 @@ void Tracer::clear() {
   next_flow_id_ = 0;
 }
 
-void Tracer::on_charge(ChargeEvent e) {
+void Tracer::on_charge(const ChargeEvent& e) {
   for (const MemCounterDesc& c : kMemCounters) {
     if (c.event == nullptr) continue;
     const std::uint64_t delta = e.after.*c.field - e.before.*c.field;
@@ -36,15 +36,15 @@ void Tracer::on_charge(ChargeEvent e) {
   }
 }
 
-void Tracer::on_lock_grant(LockEvent e) {
+void Tracer::on_lock_grant(const LockEvent& e) {
   span(e.proc, kCatSync, "lock-wait", e.request_ns, e.now);
 }
 
-void Tracer::on_lock_release(LockEvent e) {
+void Tracer::on_lock_release(const LockEvent& e) {
   if (e.peer >= 0) flow(e.proc, e.peer, kCatSync, "lock-handoff", e.now, e.grant_ns);
 }
 
-void Tracer::on_barrier_release(BarrierReleaseEvent e) {
+void Tracer::on_barrier_release(const BarrierReleaseEvent& e) {
   for (std::uint64_t m = e.released; m != 0; m &= m - 1) {
     const int q = std::countr_zero(m);
     const std::uint64_t arrival = e.arrival_ns[q];
@@ -52,11 +52,13 @@ void Tracer::on_barrier_release(BarrierReleaseEvent e) {
   }
 }
 
-void Tracer::on_phase(PhaseEvent e) {
+void Tracer::on_phase(const PhaseEvent& e) {
   if (e.now > e.since) span(e.proc, kCatPhase, phase_name(e.from), e.since, e.now);
 }
 
-void Tracer::on_switch(SwitchEvent e) { instant(e.proc, kCatSched, "fiber-switch", e.now); }
+void Tracer::on_switch(const SwitchEvent& e) {
+  instant(e.proc, kCatSched, "fiber-switch", e.now);
+}
 
 void Tracer::write_chrome_json(std::FILE* f) const {
   std::fprintf(f, "{\n\"traceEvents\": [\n");

@@ -122,13 +122,13 @@ class Tracer final : public SimObserver {
   /// switches, and one `mem` instant per protocol counter a charge advanced
   /// (count = delta).
   UnorderedUse unordered_use() const override { return UnorderedUse::kSpans; }
-  void on_charge(ChargeEvent e) override;
-  void on_lock_grant(LockEvent e) override;
-  void on_lock_release(LockEvent e) override;
-  void on_barrier_release(BarrierReleaseEvent e) override;
-  void on_phase(PhaseEvent e) override;
-  void on_finish(PhaseEvent e) override { on_phase(e); }
-  void on_switch(SwitchEvent e) override;
+  void on_charge(const ChargeEvent& e) override;
+  void on_lock_grant(const LockEvent& e) override;
+  void on_lock_release(const LockEvent& e) override;
+  void on_barrier_release(const BarrierReleaseEvent& e) override;
+  void on_phase(const PhaseEvent& e) override;
+  void on_finish(const PhaseEvent& e) override { on_phase(e); }
+  void on_switch(const SwitchEvent& e) override;
 
  private:
   void push(int proc, const Event& e) {

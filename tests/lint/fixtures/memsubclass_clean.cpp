@@ -16,12 +16,12 @@ struct ChargeEvent {
 class SimObserver {
  public:
   virtual ~SimObserver() = default;
-  virtual void on_charge(ChargeEvent) {}
+  virtual void on_charge(const ChargeEvent&) {}
 };
 
 class CostObserver final : public SimObserver {
  public:
-  void on_charge(ChargeEvent e) override { total_ += e.cost; }
+  void on_charge(const ChargeEvent& e) override { total_ += e.cost; }
 
  private:
   const MemModel* model_ = nullptr;  // read-only handle: not a subclass

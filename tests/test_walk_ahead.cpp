@@ -1,0 +1,453 @@
+// The force phase's walk-ahead (src/sim/walk_ahead.*): a helper thread walks
+// every processor's bodies into a ring of recorded charges, and each section
+// replays its own chunks (DESIGN.md decision 17). Two layers of tests:
+//
+//  * WalkAheadThreads: the ring alone, with a real helper thread and real
+//    consumer threads and no fibers, so ThreadSanitizer can check it (CI's
+//    tsan job runs this suite). Every unit must arrive exactly once, in its
+//    own chunk, whatever order the consumers take their chunks in.
+//  * ForceReplay: the replay against the walk it replaces. A recording
+//    observer captures every charge of the force phases, once charged
+//    through the replay and once by a force phase that calls gather_walk
+//    straight on SimProc (the loop perfbench's traced pass keeps); the two
+//    streams must be equal event for event. Without observers the replay
+//    takes its batched route, which must leave every clock, counter and
+//    acceleration where the direct walk leaves them, on both backends.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "harness/app.hpp"
+#include "harness/experiment.hpp"
+#include "mem/model.hpp"
+#include "sim/sim_rt.hpp"
+#include "sim/walk_ahead.hpp"
+#include "treebuild/local.hpp"
+#include "treebuild/orig.hpp"
+#include "treebuild/partree.hpp"
+#include "treebuild/radix.hpp"
+#include "treebuild/space.hpp"
+#include "treebuild/update.hpp"
+
+namespace ptb {
+namespace {
+
+// ---------------------------------------------------------------------------
+// The ring on its own.
+
+/// A synthetic walk: unit u of processor q records a few charges whose
+/// addresses and counts encode (q, u), and returns q * 1000 + u.
+void synthetic_walk(int q, std::size_t u, ChargeRecorder& rec, void* out) {
+  static char arena[1 << 16];
+  const std::size_t key = static_cast<std::size_t>(q) * 1000 + u;
+  rec.read_shared(arena + key % 4096, 8);
+  rec.compute(3.0);
+  for (std::size_t i = 0; i < u % 3; ++i) {
+    rec.read_shared_span(arena + 4096 + i * 64, 16, 32, 2 + i);
+    rec.compute(1.0);
+    rec.compute(2.0);
+  }
+  const std::uint64_t v = key;
+  std::memcpy(out, &v, sizeof v);
+}
+
+WalkAhead::Plan synthetic_plan(const std::vector<std::size_t>& units) {
+  WalkAhead::Plan plan;
+  plan.units = units;
+  plan.out_bytes = sizeof(std::uint64_t);
+  plan.walk = synthetic_walk;
+  return plan;
+}
+
+bool same_record(const ChargeRecord& a, const ChargeRecord& b) {
+  return a.addr == b.addr && a.bytes == b.bytes && a.stride == b.stride &&
+         a.count == b.count && a.compute_ns == b.compute_ns;
+}
+
+/// Takes processor q's chunks in order, checking each unit the helper walked
+/// against a fresh walk of it.
+void consume(WalkAhead& wa, int q, std::size_t units) {
+  constexpr std::size_t per = WalkAhead::kChunkUnits;
+  for (std::size_t first = 0, k = 0; first < units; first += per, ++k) {
+    const WalkAhead::Chunk* ch = wa.take(q, k);
+    if (ch == nullptr) continue;  // claimed: this section walks it itself
+    EXPECT_EQ(ch->first, first);
+    EXPECT_EQ(ch->count, std::min(per, units - first));
+    for (std::size_t u = 0; u < ch->count; ++u) {
+      std::vector<ChargeRecord> want;
+      ChargeRecorder rec(want, 2.0);
+      std::uint64_t out = 0;
+      synthetic_walk(q, first + u, rec, &out);
+      EXPECT_EQ(ch->out<std::uint64_t>(u), out);
+      ASSERT_EQ(ch->unit_size(u), want.size()) << "proc " << q << " unit " << first + u;
+      for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_TRUE(same_record(ch->unit_begin(u)[i], want[i]));
+    }
+    wa.release(ch);
+  }
+}
+
+TEST(WalkAheadThreads, EveryUnitArrivesOnceInItsOwnChunk) {
+  // 28 chunks: the six-slot ring wraps several times, and three of the
+  // processors end in a partial chunk or none.
+  const std::vector<std::size_t> units{148, 0, 48, 20};
+  WalkAhead wa(4, 2.0);
+  for (int phase = 0; phase < 5; ++phase) {
+    for (int q = 0; q < 4; ++q) wa.enter(q, [&] { return synthetic_plan(units); });
+    // A consumer thread per phase takes the processors in a phase-dependent
+    // order, as fiber sections (id order) or pool workers might.
+    std::thread consumer([&] {
+      for (int i = 0; i < 4; ++i) {
+        const int q = phase % 2 == 0 ? i : 3 - i;
+        consume(wa, q, units[static_cast<std::size_t>(q)]);
+      }
+    });
+    consumer.join();
+  }
+  wa.stop();
+}
+
+TEST(WalkAheadThreads, ConcurrentSectionsNeverDeadlock) {
+  // One consumer thread per processor, all at once (kParallel's pool), with
+  // fewer slots than processors.
+  const std::vector<std::size_t> units{80, 132, 4, 68, 36, 0, 104, 16};
+  static_assert(WalkAhead::kSlots < 8);
+  WalkAhead wa(8, 2.0);
+  for (int phase = 0; phase < 4; ++phase) {
+    for (int q = 0; q < 8; ++q) wa.enter(q, [&] { return synthetic_plan(units); });
+    std::vector<std::thread> sections;
+    for (int q = 0; q < 8; ++q)
+      sections.emplace_back([&, q] { consume(wa, q, units[static_cast<std::size_t>(q)]); });
+    for (auto& t : sections) t.join();
+  }
+  wa.stop();
+}
+
+TEST(WalkAheadThreads, StopsWithUntakenChunksAndRearms) {
+  // 20 chunks, far more than the ring holds.
+  const std::vector<std::size_t> units{80, 80};
+  WalkAhead wa(2, 2.0);
+  wa.enter(0, [&] { return synthetic_plan(units); });
+  wa.enter(1, [&] { return synthetic_plan(units); });
+  // Take only the first chunk of processor 0; the helper may still be
+  // walking or holding others when the run ends.
+  if (const WalkAhead::Chunk* ch = wa.take(0, 0)) wa.release(ch);
+  wa.stop();
+  // The next run starts over: everything arrives again.
+  std::thread consumer([&] {
+    wa.enter(0, [&] { return synthetic_plan(units); });
+    wa.enter(1, [&] { return synthetic_plan(units); });
+    consume(wa, 0, units[0]);
+    consume(wa, 1, units[1]);
+  });
+  consumer.join();
+  wa.stop();
+}
+
+TEST(WalkAheadThreads, RecorderFoldsComputeWithinAUnitOnly) {
+  std::vector<ChargeRecord> recs;
+  {
+    ChargeRecorder rec(recs, 7.0);
+    rec.compute(1.0);  // nothing to fold into: a compute-only record
+    rec.read_shared(&recs, 72);
+    rec.compute(6.0);
+    rec.compute(6.0);
+    rec.read_shared_span(&recs, 48, 96, 1);  // a span of one is a plain read
+  }
+  {
+    ChargeRecorder rec(recs, 7.0);
+    rec.compute(0.5);  // next unit: does not fold into the last record
+    rec.compute(20000.0);  // 140000 ns: wider than one record holds
+  }
+  ASSERT_EQ(recs.size(), 7u);
+  EXPECT_EQ(recs[0].count, 0);
+  EXPECT_EQ(recs[0].compute_ns, 7);
+  EXPECT_EQ(recs[1].count, 1);
+  EXPECT_EQ(recs[1].bytes, 72);
+  EXPECT_EQ(recs[1].compute_ns, 84);
+  EXPECT_EQ(recs[2].count, 1);
+  EXPECT_EQ(recs[2].stride, 48);
+  EXPECT_EQ(recs[2].compute_ns, 0);
+  EXPECT_EQ(recs[3].count, 0);
+  EXPECT_EQ(recs[3].compute_ns, 3);
+  std::uint64_t wide = 0;
+  for (std::size_t i = 3; i < recs.size(); ++i) wide += recs[i].compute_ns;
+  EXPECT_EQ(wide, 3u + 140000u);
+}
+
+// ---------------------------------------------------------------------------
+// The replay against the direct walk.
+
+/// A digest of a processor's protocol counters.
+std::uint64_t digest(const MemProcStats& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const MemCounterDesc& c : kMemCounters) h = (h ^ s.*c.field) * 0x100000001b3ull;
+  return h;
+}
+
+/// One captured charge, with digests of the counters before and after it.
+struct Charge {
+  int proc;
+  ChargeKind kind;
+  std::uint32_t count;
+  const void* addr;
+  std::uint64_t bytes_stride;
+  std::uint64_t now;
+  std::uint64_t cost;
+  std::uint64_t before;
+  std::uint64_t after;
+
+  bool operator==(const Charge&) const = default;
+};
+
+bool operator==(const MemProcStats& a, const MemProcStats& b) {
+  for (const MemCounterDesc& c : kMemCounters)
+    if (a.*c.field != b.*c.field) return false;
+  return true;
+}
+
+/// Records every charge a processor takes while in the force phase.
+class ForceChargeLog final : public SimObserver {
+ public:
+  UnorderedUse unordered_use() const override { return UnorderedUse::kSpans; }
+  void on_run_start(const RunStartEvent& e) override {
+    phase_.assign(static_cast<std::size_t>(e.nprocs), Phase::kOther);
+  }
+  void on_phase(const PhaseEvent& e) override {
+    phase_[static_cast<std::size_t>(e.proc)] = e.to;
+  }
+  void on_charge(const ChargeEvent& e) override {
+    if (phase_[static_cast<std::size_t>(e.proc)] != Phase::kForces) return;
+    log.push_back({e.proc, e.kind, static_cast<std::uint32_t>(e.count), e.addr,
+                   e.bytes << 32 | e.stride, e.now, e.cost, digest(e.before),
+                   digest(e.after)});
+  }
+
+  std::vector<Charge> log;
+
+ private:
+  std::vector<Phase> phase_;
+};
+
+/// The force phase with gather_walk called straight on SimProc: the inline
+/// loop, as perfbench's traced pass runs it.
+void direct_forces(SimProc& rt, AppState& st) {
+  const auto pi = static_cast<std::size_t>(rt.self());
+  const auto& part = st.partition[pi];
+  detail::ForceCounts sum;
+  rt.unordered([&] { detail::force_bodies(rt, st, part.data(), part.size(), sum); });
+  for (std::int32_t bi : part) rt.write(st.body_charge(bi), 32);
+  st.interactions[pi] = sum.cells + sum.bodies;
+  st.interactions_cell[pi] = sum.cells;
+  st.interactions_body[pi] = sum.bodies;
+}
+
+/// app.hpp's timestep with the force phase made selectable.
+template <class Builder>
+void step(SimProc& rt, AppState& st, Builder& builder, bool direct) {
+  rt.begin_phase(Phase::kTreeBuild);
+  builder.build(rt);
+  rt.barrier();
+  rt.begin_phase(Phase::kMoments);
+  moments_phase(rt, st);
+  rt.begin_phase(Phase::kPartition);
+  partition_phase(rt, st);
+  rt.begin_phase(Phase::kForces);
+  if (direct)
+    direct_forces(rt, st);
+  else
+    forces_phase(rt, st);
+  rt.barrier();
+  rt.begin_phase(Phase::kUpdate);
+  integrate_phase(rt, st);
+  rt.barrier();
+  rt.begin_phase(Phase::kOther);
+}
+
+struct Outcome {
+  std::vector<Charge> log;
+  std::vector<std::uint64_t> clocks;
+  std::vector<MemProcStats> mem;
+  std::vector<ProcStats> stats;
+  std::vector<std::uint64_t> interactions;
+  std::vector<Vec3> acc;
+  std::uint64_t handed = 0;  // chunks the sections replayed
+};
+
+struct Snapshot {
+  Bodies bodies;
+  std::vector<AlignedVec<std::int32_t>> partition;
+  std::vector<std::int32_t> body_slot;
+};
+
+void restore(AppState& st, const Snapshot& snap) {
+  std::copy(snap.bodies.begin(), snap.bodies.end(), st.bodies.begin());
+  for (std::size_t p = 0; p < st.partition.size(); ++p)
+    st.partition[p].assign(snap.partition[p].begin(), snap.partition[p].end());
+  std::copy(snap.body_slot.begin(), snap.body_slot.end(), st.body_slot.begin());
+  st.tree.root = nullptr;
+  for (auto& c : st.tree.created) c.clear();
+  for (int i = 0; i < st.tree.nbodies; ++i)
+    st.tree.body_leaf[static_cast<std::size_t>(i)].store(nullptr, std::memory_order_relaxed);
+  std::fill(st.tree.reduce.begin(), st.tree.reduce.end(), ReduceSlot{});
+  st.storage.global.reset();
+  for (auto& pool : st.storage.per_proc) pool.reset();
+}
+
+struct RunMode {
+  bool direct = false;
+  bool observed = false;
+  SimBackend backend = SimBackend::kFibers;
+};
+
+/// Runs two time-steps in each mode on one AppState (virtual results depend
+/// on the registered regions' addresses), restoring the inputs in between.
+template <class Builder>
+std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
+                               const std::vector<RunMode>& modes) {
+  BHConfig bh;
+  bh.n = n;
+  AppState st = make_app_state(bh, nprocs);
+  const Snapshot snap{st.bodies, st.partition, st.body_slot};
+  Builder builder(st);
+  std::vector<Outcome> out;
+  for (const RunMode& m : modes) {
+    restore(st, snap);
+    SimContext ctx(PlatformSpec::by_name(platform), nprocs, m.backend,
+                   /*race_detect=*/false, /*sight_observe=*/false);
+    ForceChargeLog log;
+    if (m.observed) ctx.add_observer(&log);
+    register_common_regions(ctx, st);
+    builder.register_regions(ctx);
+    builder.reset();
+    ctx.reset_stats();
+    ctx.run([&](SimProc& rt) {
+      for (int s = 0; s < 2; ++s) step(rt, st, builder, m.direct);
+    });
+    Outcome o;
+    o.log = std::move(log.log);
+    o.stats = ctx.stats();
+    for (int p = 0; p < nprocs; ++p) {
+      o.clocks.push_back(ctx.clock_ns(p));
+      o.mem.push_back(ctx.mem().proc_stats(p));
+      o.interactions.push_back(st.interactions[static_cast<std::size_t>(p)]);
+    }
+    for (const Body& b : st.bodies) o.acc.push_back(b.acc);
+    o.handed = ctx.walk_ahead().handed();
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+std::vector<Outcome> run_algorithm(Algorithm alg, const std::string& platform, int n,
+                                   int nprocs, const std::vector<RunMode>& modes) {
+  switch (alg) {
+    case Algorithm::kOrig:
+      return run_modes<OrigBuilder>(platform, n, nprocs, modes);
+    case Algorithm::kLocal:
+      return run_modes<LocalBuilder>(platform, n, nprocs, modes);
+    case Algorithm::kUpdate:
+      return run_modes<UpdateBuilder>(platform, n, nprocs, modes);
+    case Algorithm::kPartree:
+      return run_modes<PartreeBuilder>(platform, n, nprocs, modes);
+    case Algorithm::kSpace:
+      return run_modes<SpaceBuilder>(platform, n, nprocs, modes);
+    case Algorithm::kRadix:
+      return run_modes<RadixBuilder>(platform, n, nprocs, modes);
+  }
+  PTB_CHECK_MSG(false, "unhandled algorithm");
+  return {};
+}
+
+/// Equal final state: clocks, protocol counters, per-phase statistics,
+/// interaction counts and accelerations, all to the bit.
+void expect_same_state(const Outcome& a, const Outcome& b) {
+  EXPECT_EQ(a.clocks, b.clocks);
+  EXPECT_EQ(a.interactions, b.interactions);
+  ASSERT_EQ(a.mem.size(), b.mem.size());
+  for (std::size_t p = 0; p < a.mem.size(); ++p) {
+    SCOPED_TRACE("proc " + std::to_string(p));
+    EXPECT_TRUE(a.mem[p] == b.mem[p]);
+    EXPECT_EQ(a.stats[p].phase_ns, b.stats[p].phase_ns);
+    EXPECT_EQ(a.stats[p].mem_stall_ns, b.stats[p].mem_stall_ns);
+  }
+  ASSERT_EQ(a.acc.size(), b.acc.size());
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < a.acc.size(); ++i)
+    if (a.acc[i].x != b.acc[i].x || a.acc[i].y != b.acc[i].y || a.acc[i].z != b.acc[i].z)
+      ++differ;
+  EXPECT_EQ(differ, 0u);
+}
+
+struct ReplayCase {
+  Algorithm alg;
+  const char* platform;
+  int nprocs;
+};
+
+class ForceReplayP : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(ForceReplayP, ReplayedChargesMatchTheDirectWalk) {
+  const ReplayCase c = GetParam();
+  const auto runs = run_algorithm(c.alg, c.platform, 512, c.nprocs,
+                                  {{/*direct=*/false, /*observed=*/true},
+                                   {/*direct=*/true, /*observed=*/true},
+                                   {/*direct=*/false, /*observed=*/false},
+                                   {/*direct=*/true, /*observed=*/false}});
+  // Observed: the replay issues each record as its own call, so the two
+  // charge streams must agree event for event.
+  const std::vector<Charge>& replayed = runs[0].log;
+  const std::vector<Charge>& direct = runs[1].log;
+  ASSERT_FALSE(direct.empty());
+  const auto diverge =
+      std::mismatch(replayed.begin(), replayed.end(), direct.begin(), direct.end());
+  EXPECT_TRUE(diverge.first == replayed.end() && diverge.second == direct.end())
+      << "charge streams diverge at event " << (diverge.first - replayed.begin()) << " of "
+      << replayed.size() << " replayed / " << direct.size() << " direct";
+  expect_same_state(runs[0], runs[1]);
+  // Unobserved: the batched replay must land on the same state.
+  expect_same_state(runs[2], runs[3]);
+  expect_same_state(runs[2], runs[0]);
+  // Both replay routes must have run for the comparisons above to test
+  // them: each of the two force phases replays at least its first chunk,
+  // whichever others the helper wins.
+  EXPECT_GE(runs[0].handed, 2u) << "too few chunks replayed with an observer attached";
+  EXPECT_GE(runs[2].handed, 2u) << "too few chunks replayed by the batched route";
+}
+
+std::vector<ReplayCase> replay_cases() {
+  std::vector<ReplayCase> cases;
+  for (Algorithm alg : all_algorithms())
+    for (const char* platform : {"challenge", "origin2000", "typhoon0_hlrc"})
+      for (int p : {1, 4, 16}) cases.push_back({alg, platform, p});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ForceReplayP, ::testing::ValuesIn(replay_cases()),
+                         [](const ::testing::TestParamInfo<ReplayCase>& info) {
+                           return std::string(algorithm_name(info.param.alg)) + "_" +
+                                  info.param.platform + "_p" +
+                                  std::to_string(info.param.nprocs);
+                         });
+
+// kParallel runs sections on pool workers, which take their chunks in
+// whatever order they start and walk more of them themselves; with no
+// observer the batched replay must still match fibers exactly.
+TEST(ForceReplay, ParallelBackendMatchesFibersWithoutObservers) {
+  for (Algorithm alg : {Algorithm::kSpace, Algorithm::kOrig, Algorithm::kRadix}) {
+    SCOPED_TRACE(algorithm_name(alg));
+    RunMode fibers;
+    RunMode parallel;
+    parallel.backend = SimBackend::kParallel;
+    const auto runs = run_algorithm(alg, "typhoon0_hlrc", 1024, 16, {fibers, parallel});
+    expect_same_state(runs[0], runs[1]);
+  }
+}
+
+}  // namespace
+}  // namespace ptb
