@@ -13,7 +13,10 @@
 
 #include "anatomy/sweep.hpp"
 #include "bench_common.hpp"
+#include "harness/report.hpp"
 #include "support/cli.hpp"
+#include "support/provenance.hpp"
+#include "support/table.hpp"
 
 namespace {
 

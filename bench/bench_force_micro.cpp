@@ -25,7 +25,9 @@
 
 #include "bench_common.hpp"
 #include "bh/forcekernel.hpp"
+#include "harness/experiment.hpp"
 #include "support/cli.hpp"
+#include "support/provenance.hpp"
 
 namespace {
 

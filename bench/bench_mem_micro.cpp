@@ -21,9 +21,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "harness/experiment.hpp"
 #include "mem/model.hpp"
 #include "platform/spec.hpp"
 #include "support/cli.hpp"
+#include "support/provenance.hpp"
 
 namespace {
 

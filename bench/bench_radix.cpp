@@ -20,7 +20,10 @@
 #include "anatomy/anatomy.hpp"
 #include "bench_common.hpp"
 #include "harness/experiment.hpp"
+#include "harness/report.hpp"
 #include "support/cli.hpp"
+#include "support/provenance.hpp"
+#include "support/table.hpp"
 #include "treebuild/radix.hpp"
 
 namespace {

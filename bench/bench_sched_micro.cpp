@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "sim/sim_rt.hpp"
 #include "support/cli.hpp"
+#include "support/provenance.hpp"
 
 namespace {
 

@@ -98,13 +98,16 @@ std::shared_future<ExperimentRunner::Baseline> ExperimentRunner::baseline(
   // simulation shares nothing with the caller's thread. Virtual results are
   // identical across backends, so the one-processor baseline always runs on
   // fibers: no worker pool for a single processor, and one cache entry
-  // however many backends a sweep mixes.
+  // however many backends a sweep mixes. No observer runs on it, whatever
+  // PTB_RACE / PTB_SIGHT say: one processor cannot race, and nothing reads
+  // the baseline's sight report.
   const PlatformSpec platform = sequential_variant(PlatformSpec::by_name(spec.platform));
   const BHConfig bh = effective_bh(spec);
   const RunConfig rc{spec.warmup_steps, spec.measured_steps};
   auto simulate = [platform, bh, rc] {
     AppState st = make_app_state(bh, 1);
-    SimContext ctx(platform, 1, SimBackend::kFibers);
+    SimContext ctx(platform, 1, SimBackend::kFibers, /*race_detect=*/false,
+                   /*sight_observe=*/false);
     SeqBuilder builder(st);
     const RunResult res = run_simulation(ctx, st, builder, rc);
     return Baseline{res.total_ns * 1e-9, res.phase(Phase::kTreeBuild) * 1e-9};

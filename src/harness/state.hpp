@@ -157,9 +157,21 @@ struct AppState {
   }
 
   /// Lock identity for a tree node: the node itself, or its ALOCK bucket.
+  /// The bucket hashes the node's pool and its index there, not its host
+  /// address, so every process maps a node to the same bucket (DESIGN.md
+  /// decision 6). A node from no pool (unit tests) hashes its address.
   const void* node_lock(const Node* n) const {
     if (lock_table.empty()) return n;
-    auto h = reinterpret_cast<std::uintptr_t>(n) / sizeof(Node);
+    const auto addr = reinterpret_cast<std::uintptr_t>(n);
+    std::uint64_t h = addr / sizeof(Node);
+    for (std::size_t i = 0; i <= storage.per_proc.size(); ++i) {
+      const NodePool& pool = i == 0 ? storage.global : storage.per_proc[i - 1];
+      const std::uintptr_t offset = addr - reinterpret_cast<std::uintptr_t>(pool.base());
+      if (offset < pool.size_bytes()) {
+        h = (static_cast<std::uint64_t>(i) << 40) + offset / sizeof(Node);
+        break;
+      }
+    }
     h ^= h >> 13;
     h *= 0x9e3779b97f4a7c15ull;
     return lock_table.data() + (h >> 32) % lock_table.size();

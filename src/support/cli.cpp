@@ -1,8 +1,11 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <optional>
+#include <string_view>
 
 #include "support/check.hpp"
 
@@ -37,31 +40,59 @@ std::string Cli::get_string(const std::string& name, const std::string& def,
   return it->second;
 }
 
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& v) {
+  std::fprintf(stderr, "bad --%s: '%s'\n", name.c_str(), v.c_str());
+  std::exit(2);
+}
+
+/// All of `v` as a T; nullopt when `v` is empty or has anything after the number.
+template <typename T>
+std::optional<T> parse_whole(std::string_view v) {
+  T out{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc() || end != v.data() + v.size()) return std::nullopt;
+  return out;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def, const std::string& help) {
   const std::string v = get_string(name, std::to_string(def), help);
-  return std::strtoll(v.c_str(), nullptr, 10);
+  if (!args_.count(name)) return def;
+  if (const auto x = parse_whole<std::int64_t>(v)) return *x;
+  bad_value(name, v);
 }
 
 double Cli::get_double(const std::string& name, double def, const std::string& help) {
   const std::string v = get_string(name, std::to_string(def), help);
-  return std::strtod(v.c_str(), nullptr);
+  if (!args_.count(name)) return def;
+  if (const auto x = parse_whole<double>(v)) return *x;
+  bad_value(name, v);
 }
 
 bool Cli::get_bool(const std::string& name, bool def, const std::string& help) {
   const std::string v = get_string(name, def ? "true" : "false", help);
-  return v == "true" || v == "1" || v == "yes";
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  bad_value(name, v);
 }
 
 std::vector<std::int64_t> Cli::get_int_list(const std::string& name, const std::string& def,
                                             const std::string& help) {
   const std::string v = get_string(name, def, help);
   std::vector<std::int64_t> out;
-  std::stringstream ss(v);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::strtoll(item.c_str(), nullptr, 10));
+  if (!args_.count(name) && v.empty()) return out;
+  const std::string_view all(v);
+  for (std::size_t pos = 0;;) {
+    const std::size_t comma = std::min(all.find(',', pos), all.size());
+    const auto x = parse_whole<std::int64_t>(all.substr(pos, comma - pos));
+    if (!x) bad_value(name, v);
+    out.push_back(*x);
+    if (comma == all.size()) return out;
+    pos = comma + 1;
   }
-  return out;
 }
 
 void Cli::epilogue(std::string text) {

@@ -1,7 +1,8 @@
 // Minimal command-line flag parser shared by benches and examples.
 //
 // Supports --flag=value, --flag value, and boolean --flag forms. Unknown
-// flags are an error so that typos in experiment scripts fail loudly.
+// flags and malformed values are errors (exit 2) so that typos in experiment
+// scripts fail loudly.
 #pragma once
 
 #include <cstdint>
@@ -15,14 +16,19 @@ class Cli {
  public:
   Cli(int argc, char** argv);
 
-  /// Declare a flag with a default; returns the parsed value.
+  /// Declare a flag with a default; returns the parsed value. A given value
+  /// must be the whole token: an integer or a double (std::from_chars), or
+  /// true/false/1/0/yes/no for a bool. Anything else prints
+  /// `bad --<flag>: '<value>'` and exits 2.
   std::string get_string(const std::string& name, const std::string& def,
                          const std::string& help);
   std::int64_t get_int(const std::string& name, std::int64_t def, const std::string& help);
   double get_double(const std::string& name, double def, const std::string& help);
   bool get_bool(const std::string& name, bool def, const std::string& help);
 
-  /// Parse a comma-separated list of integers, e.g. "8192,16384,65536".
+  /// Parse a comma-separated list of integers, e.g. "8192,16384,65536". An
+  /// empty item, or an empty given value, is malformed; an empty `def` gives
+  /// an empty list when the flag is absent.
   std::vector<std::int64_t> get_int_list(const std::string& name, const std::string& def,
                                          const std::string& help);
 

@@ -3,11 +3,17 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/check.hpp"
+
 namespace ptb {
 
 void Table::set_header(std::vector<std::string> cols) { header_ = std::move(cols); }
 
-void Table::add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
+void Table::add_row(std::vector<std::string> cells) {
+  PTB_CHECK_MSG(header_.empty() || cells.size() == header_.size(),
+                "table row width differs from its header");
+  rows_.push_back(std::move(cells));
+}
 
 std::string Table::num(double v, int precision) {
   char buf[64];

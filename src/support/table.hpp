@@ -12,6 +12,7 @@ class Table {
   explicit Table(std::string title) : title_(std::move(title)) {}
 
   void set_header(std::vector<std::string> cols);
+  /// Once a header is set, every row must have exactly its width.
   void add_row(std::vector<std::string> cells);
 
   /// Convenience: format a double with the given precision.

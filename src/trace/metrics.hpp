@@ -3,7 +3,7 @@
 // The single source the harness and benches read measurements from: after a
 // run, the per-processor runtime accumulators (ProcStats, MemProcStats) are
 // ingested as labeled metrics, and everything downstream — ExperimentResult's
-// scalar fields, ptbsim's tables, the bench_fig* breakdowns — is *derived*
+// scalar fields, ptbsim's tables, ptbfig's figures — is *derived*
 // by querying the registry instead of hand-maintaining parallel fields.
 //
 // Naming scheme (see docs/OBSERVABILITY.md):

@@ -48,7 +48,8 @@ double cell_sum(const Ledger& led, int p, Phase ph) {
 
 // The tentpole guarantee: on every (algorithm, platform) cell, every virtual
 // cycle of every processor lands in exactly one category — the ledger tiles
-// p * T_p bit-exactly, per phase and in total.
+// p * T_p bit-exactly, per phase and in total — and its categories equal the
+// metrics registry's time.* / sync.* sums exactly.
 TEST(AnatomyLedger, ExactAcrossTheAlgorithmPlatformMatrix) {
   for (const char* platform : {"ideal", "challenge", "origin2000", "paragon",
                                "typhoon0_hlrc", "typhoon0_sc", "numa2020",
@@ -74,6 +75,26 @@ TEST(AnatomyLedger, ExactAcrossTheAlgorithmPlatformMatrix) {
         EXPECT_EQ(phase_total, 4.0 * r.anatomy.phase_ns[static_cast<std::size_t>(ph)])
             << cfg << " " << phase_name(phase);
       }
+      // The ledger and the metrics registry (ingest_run_metrics) read the
+      // same per-(proc, phase) accumulators on two code paths, so their
+      // busy / memory / lock / barrier totals agree to the last ns.
+      double phase_ns = 0.0, mem_ns = 0.0, lock_ns = 0.0, barrier_ns = 0.0;
+      for (int ph = 0; ph < kNumPhases; ++ph) {
+        if (ph == static_cast<int>(Phase::kOther)) continue;
+        const trace::Labels f{{"phase", phase_name(static_cast<Phase>(ph))}};
+        phase_ns += r.metrics.sum("time.phase_ns", f);
+        mem_ns += r.metrics.sum("time.mem_stall_ns", f);
+        lock_ns += r.metrics.sum("sync.lock_wait_ns", f);
+        barrier_ns += r.metrics.sum("sync.barrier_wait_ns", f);
+      }
+      const Ledger& led = r.anatomy;
+      const double led_mem_ns =
+          led.category_ns(Category::kMemLocal) + led.category_ns(Category::kMemRemote);
+      EXPECT_EQ(led_mem_ns, mem_ns) << cfg;
+      EXPECT_EQ(led.category_ns(Category::kLockWait), lock_ns) << cfg;
+      EXPECT_EQ(led.category_ns(Category::kBarrierWait), barrier_ns) << cfg;
+      EXPECT_EQ(led.category_ns(Category::kBusy), phase_ns - mem_ns - lock_ns - barrier_ns)
+          << cfg;
     }
   }
 }

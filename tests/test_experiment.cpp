@@ -171,7 +171,7 @@ TEST(Experiment, SvmRankingSpaceFirstPartreeSecond) {
   const auto partree = runner.run(spec("typhoon0_hlrc", Algorithm::kPartree, 8192, 16));
   const auto space = runner.run(spec("typhoon0_hlrc", Algorithm::kSpace, 8192, 16));
   // SPACE and PARTREE trade the lead within ~1% at 8k (SPACE pulls ahead as
-  // n grows — see bench_fig13); both must clearly beat the
+  // n grows — see ptbfig --figure=fig13); both must clearly beat the
   // lock-per-particle algorithms, and ORIG must be last.
   EXPECT_GT(space.speedup, 0.97 * partree.speedup);
   EXPECT_GT(space.speedup, 1.2 * local.speedup);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "support/rng.hpp"
@@ -213,6 +215,14 @@ TEST(Table, RendersAlignedRows) {
   EXPECT_NE(s.find("---"), std::string::npos);
 }
 
+TEST(TableDeathTest, RowWiderOrNarrowerThanTheHeaderAborts) {
+  Table t("demo");
+  t.set_header({"platform", "ORIG", "best"});
+  t.add_row({"challenge", "12.1", "ORIG"});
+  EXPECT_DEATH(t.add_row({"paragon", "2.4", "5.1", "SPACE"}), "row width differs");
+  EXPECT_DEATH(t.add_row({"paragon", "2.4"}), "row width differs");
+}
+
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(2.0, 0), "2");
@@ -234,7 +244,54 @@ TEST(Cli, IntList) {
   const auto v = cli.get_int_list("sizes", "", "");
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[2], 30);
+  EXPECT_TRUE(cli.get_int_list("procs", "", "").empty());
+  EXPECT_EQ(cli.get_int_list("steps", "4,8", ""), (std::vector<std::int64_t>{4, 8}));
   cli.finish();
+}
+
+TEST(Cli, ParsesBoolsAndDoubles) {
+  const char* argv[] = {"prog", "--a=no", "--b=1", "--c=yes", "--d=0", "--theta=0.25"};
+  Cli cli(6, const_cast<char**>(argv));
+  EXPECT_FALSE(cli.get_bool("a", true, ""));
+  EXPECT_TRUE(cli.get_bool("b", false, ""));
+  EXPECT_TRUE(cli.get_bool("c", false, ""));
+  EXPECT_FALSE(cli.get_bool("d", true, ""));
+  EXPECT_EQ(cli.get_double("theta", 1.0, ""), 0.25);
+  EXPECT_EQ(cli.get_double("eps", 1e-9, ""), 1e-9);
+  cli.finish();
+}
+
+// Each getter reads the whole token; a value it cannot read exits 2 and names
+// the flag, rather than running with whatever prefix strtoll/strtod accepted.
+TEST(CliDeathTest, MalformedValuesExitTwo) {
+  const auto parse = [](const char* arg, auto get) {
+    const char* argv[] = {"prog", arg};
+    Cli cli(2, const_cast<char**>(argv));
+    get(cli);
+  };
+  const auto get_int = [](Cli& c) { (void)c.get_int("n", 1, ""); };
+  const auto get_double = [](Cli& c) { (void)c.get_double("theta", 1.0, ""); };
+  const auto get_bool = [](Cli& c) { (void)c.get_bool("csv", false, ""); };
+  const auto get_list = [](Cli& c) { (void)c.get_int_list("sizes", "", ""); };
+  EXPECT_EXIT(parse("--n=abc", get_int), testing::ExitedWithCode(2), "bad --n: 'abc'");
+  EXPECT_EXIT(parse("--n=4x", get_int), testing::ExitedWithCode(2), "bad --n: '4x'");
+  EXPECT_EXIT(parse("--n=", get_int), testing::ExitedWithCode(2), "bad --n: ''");
+  EXPECT_EXIT(parse("--n", get_int), testing::ExitedWithCode(2), "bad --n: 'true'");
+  EXPECT_EXIT(parse("--n=99999999999999999999", get_int), testing::ExitedWithCode(2),
+              "bad --n:");
+  EXPECT_EXIT(parse("--theta=abc", get_double), testing::ExitedWithCode(2),
+              "bad --theta: 'abc'");
+  EXPECT_EXIT(parse("--theta=0.5s", get_double), testing::ExitedWithCode(2),
+              "bad --theta: '0.5s'");
+  EXPECT_EXIT(parse("--csv=maybe", get_bool), testing::ExitedWithCode(2),
+              "bad --csv: 'maybe'");
+  EXPECT_EXIT(parse("--sizes=1k", get_list), testing::ExitedWithCode(2),
+              "bad --sizes: '1k'");
+  EXPECT_EXIT(parse("--sizes=", get_list), testing::ExitedWithCode(2), "bad --sizes: ''");
+  EXPECT_EXIT(parse("--sizes=8,,16", get_list), testing::ExitedWithCode(2),
+              "bad --sizes: '8,,16'");
+  EXPECT_EXIT(parse("--sizes=8,", get_list), testing::ExitedWithCode(2),
+              "bad --sizes: '8,'");
 }
 
 }  // namespace

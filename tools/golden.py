@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Pins every observer output of a few ptbsim runs to checked-in digests.
+"""Pins the outputs of ptbsim's observers and of every ptbfig entry to
+checked-in digests.
 
-Each configuration runs ptbsim in a fresh temporary directory with fixed
-report names, masks the build provenance (`git_sha`, `build_type`) in the
-JSON reports, and compares the SHA-256 of stdout, stderr, the exit code and
-every report with tests/golden/observers.sha256. The trace alone is about
-9 MB, hence digests rather than the files.
+Observer mode (--ptbsim) runs a few ptbsim configurations, each in a fresh
+temporary directory with fixed report names, masks the build provenance
+(`git_sha`, `build_type`) in the JSON reports, and compares the SHA-256 of
+stdout, stderr, the exit code and every report with
+tests/golden/observers.sha256. The trace alone is about 9 MB, hence digests
+rather than the files.
+
+Figure mode (--ptbfig) runs `ptbfig --figure=<id> --sizes=1024 --warmup=1
+--steps=1` for every entry, one two-entry invocation whose stdout must equal
+the two single outputs back to back, and the usage errors (exit 2), against
+tests/golden/figures.sha256. --shard K/N runs every N-th configuration from
+the K-th, so a ctest shard stays short on a Debug build.
 
     tools/golden.py --ptbsim build/examples/ptbsim                # all configs
     tools/golden.py --ptbsim build/examples/ptbsim --config elided
     tools/golden.py --ptbsim build/examples/ptbsim --update       # re-baseline
+    tools/golden.py --ptbfig build/bench/ptbfig --shard 1/4
 
 On a mismatch the outputs are kept (the path is printed) and each differing
-artifact is named. A change that needs --update re-baselines the observers
+artifact is named. A change that needs --update re-baselines the outputs
 deliberately and says why in EXPERIMENTS.md.
 
 Exit codes: 0 match (or updated), 1 mismatch, 2 usage error.
@@ -29,13 +38,13 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-GOLDEN = os.path.join(ROOT, "tests", "golden", "observers.sha256")
+GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
 
 REPORTS = {"--trace": "trace.json", "--prof": "prof.json", "--sight": "sight.json",
            "--anatomy": "anatomy.json"}
 
 # name -> (ptbsim arguments, expected exit code, config whose digests it must equal)
-CONFIGS = {
+OBSERVER_CONFIGS = {
     "all": (["--platform", "paragon", "--algorithm", "ORIG", "--n", "1024", "--procs", "8",
              "--race", "--sight", "--prof", "--trace", "--anatomy", "--csv"], 0, None),
     "all-parallel": (["--platform", "paragon", "--algorithm", "ORIG", "--n", "1024",
@@ -53,6 +62,29 @@ CONFIGS = {
                 "2", "--warmup", "1", "--steps", "1", "--race", "--elide-locks", "--sight",
                 "--trace"], 2, None),
 }
+
+# Every ptbfig entry, in the driver's order. A new entry changes the pinned
+# "unknown-figure" stderr, which lists them all, so this list cannot fall behind.
+FIGURES = ["table1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "fig12",
+           "fig13", "fig14", "sec442_sc", "fig15", "portability", "ablate_leafcap",
+           "ablate_spacethresh", "ablate_lockcost", "ablate_lockhash",
+           "ablate_distribution", "ablate_partitioner"]
+SMALL = ["--sizes=1024", "--warmup=1", "--steps=1"]
+
+# name -> (ptbfig arguments, expected exit code, entries whose single stdouts,
+# back to back, it must print)
+FIGURE_CONFIGS = {f: ([f"--figure={f}"] + SMALL, 0, None) for f in FIGURES}
+FIGURE_CONFIGS.update({
+    "pair": (["--figure=table1,fig13"] + SMALL, 0, ["table1", "fig13"]),
+    "empty-sizes": (["--figure=fig7", "--sizes="], 2, None),
+    "zero-procs": (["--figure=fig8", "--procs=0"], 2, None),
+    "zero-steps": (["--figure=fig8", "--steps=0"], 2, None),
+    "unknown-figure": (["--figure=fig7,fig99"], 2, None),
+})
+
+# --ptbsim / --ptbfig -> (configurations, digest file)
+MODES = {"ptbsim": (OBSERVER_CONFIGS, "observers.sha256"),
+         "ptbfig": (FIGURE_CONFIGS, "figures.sha256")}
 
 PROVENANCE_RE = re.compile(rb'"(git_sha|build_type)": "[^"]*"')
 
@@ -75,14 +107,17 @@ def expand(args):
     return out
 
 
-def run_config(ptbsim, name, workdir):
-    """Runs one configuration in `workdir`; returns {artifact: digest}."""
-    args, _, _ = CONFIGS[name]
+def run(binary, args, workdir):
     # PTB_* variables select observers, windows and backends: scrub them so
     # the configuration is exactly what the table says.
     env = {k: v for k, v in os.environ.items() if not k.startswith("PTB_")}
-    proc = subprocess.run([ptbsim] + expand(args), cwd=workdir, env=env,
-                          capture_output=True)
+    return subprocess.run([binary] + expand(args), cwd=workdir, env=env, capture_output=True)
+
+
+def run_config(binary, args, workdir):
+    """Runs one configuration in `workdir`; returns ({artifact: digest}, stdout,
+    exit code)."""
+    proc = run(binary, args, workdir)
     for stream, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
         with open(os.path.join(workdir, stream), "wb") as fh:
             fh.write(data)
@@ -96,7 +131,7 @@ def run_config(ptbsim, name, workdir):
                 continue
             with open(path, "rb") as fh:
                 got[fname] = digest(fh.read())
-    return got, proc.returncode
+    return got, proc.stdout, proc.returncode
 
 
 def read_golden(path):
@@ -113,7 +148,7 @@ def read_golden(path):
 
 def write_golden(path, entries):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# SHA-256 of ptbsim observer outputs (git_sha/build_type masked),\n"
+        fh.write("# SHA-256 of ptbsim / ptbfig outputs (git_sha/build_type masked),\n"
                  "# checked by tools/golden.py. Regenerate with --update only for a\n"
                  "# deliberate re-baseline, explained in EXPERIMENTS.md.\n")
         for key in sorted(entries):
@@ -123,19 +158,33 @@ def write_golden(path, entries):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--ptbsim", required=True, help="path to the ptbsim binary")
-    ap.add_argument("--config", action="append", choices=sorted(CONFIGS),
+    binary_arg = ap.add_mutually_exclusive_group(required=True)
+    binary_arg.add_argument("--ptbsim", help="path to the ptbsim binary (observer mode)")
+    binary_arg.add_argument("--ptbfig", help="path to the ptbfig binary (figure mode)")
+    ap.add_argument("--config", action="append",
                     help="run only these configurations (repeatable; default: all)")
+    ap.add_argument("--shard", help="K/N: run every N-th configuration from the K-th")
     ap.add_argument("--update", action="store_true", help="rewrite the digest file")
     args = ap.parse_args()
-    ptbsim = os.path.abspath(args.ptbsim)
-    if not os.access(ptbsim, os.X_OK):
-        print(f"golden: {ptbsim} is not an executable", file=sys.stderr)
+    mode = "ptbsim" if args.ptbsim else "ptbfig"
+    configs, golden_name = MODES[mode]
+    golden = os.path.join(GOLDEN_DIR, golden_name)
+    binary = os.path.abspath(args.ptbsim or args.ptbfig)
+    if not os.access(binary, os.X_OK):
+        print(f"golden: {binary} is not an executable", file=sys.stderr)
         return 2
-    names = args.config or list(CONFIGS)
-    want = read_golden(GOLDEN) if os.path.exists(GOLDEN) else {}
+    names = args.config or list(configs)
+    unknown = [n for n in names if n not in configs]
+    if unknown:
+        print(f"golden: unknown --config {', '.join(unknown)} (want {', '.join(configs)})",
+              file=sys.stderr)
+        return 2
+    if args.shard:
+        k, n = (int(x) for x in args.shard.split("/"))
+        names = names[k - 1::n]
+    want = read_golden(golden) if os.path.exists(golden) else {}
     if not args.update and not want:
-        print(f"golden: no digests at {GOLDEN} (run with --update)", file=sys.stderr)
+        print(f"golden: no digests at {golden} (run with --update)", file=sys.stderr)
         return 2
 
     keep = tempfile.mkdtemp(prefix="ptb-golden-")
@@ -144,9 +193,9 @@ def main():
     for name in names:
         workdir = os.path.join(keep, name)
         os.makedirs(workdir)
-        got, code = run_config(ptbsim, name, workdir)
+        got, stdout, code = run_config(binary, configs[name][0], workdir)
         results[name] = got
-        expected_exit = CONFIGS[name][1]
+        expected_exit = configs[name][1]
         if code != expected_exit:
             failures.append(f"{name}: exit {code}, expected {expected_exit}")
         for artifact, sha in got.items():
@@ -158,8 +207,14 @@ def main():
             elif want[key] != sha:
                 failures.append(f"{key}: digest differs")
         print(f"golden: {name}: {len(got)} artifacts, exit {code}")
-    for name in names:
-        twin = CONFIGS[name][2]
+        parts = configs[name][2]
+        if mode == "ptbfig" and parts is not None:
+            # The parts run here too, so a shard need not hold them.
+            singles = b"".join(run(binary, configs[p][0], workdir).stdout for p in parts)
+            if singles != stdout:
+                failures.append(f"{name}: stdout is not {' + '.join(parts)} back to back")
+    for name in names if mode == "ptbsim" else []:
+        twin = configs[name][2]
         if twin is not None and twin in results and results[twin] != results[name]:
             diff = sorted(a for a in results[name] if results[name][a] != results[twin].get(a))
             failures.append(f"{name}: differs from {twin} in {', '.join(diff)}")
@@ -174,8 +229,8 @@ def main():
         for name, got in results.items():
             for artifact, sha in got.items():
                 entries[f"{name}/{artifact}"] = sha
-        write_golden(GOLDEN, entries)
-        print(f"golden: wrote {len(entries)} digests to {GOLDEN}")
+        write_golden(golden, entries)
+        print(f"golden: wrote {len(entries)} digests to {golden}")
     shutil.rmtree(keep, ignore_errors=True)
     return 0
 
