@@ -741,17 +741,6 @@ const std::vector<Figure>& figures() {
   std::exit(2);
 }
 
-/// --sizes or --procs: empty when absent, else positive counts (exit 2 if not).
-std::vector<std::int64_t> counts(Cli& cli, const std::string& flag,
-                                 const std::string& help) {
-  std::vector<std::int64_t> v =
-      cli.get_int_list(flag, "", help + " (empty: each entry's own)");
-  for (std::int64_t x : v)
-    if (x < 1)
-      usage_error("bad --" + flag + ": '" + joined(v) + "' (every entry must be >= 1)");
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -765,14 +754,13 @@ int main(int argc, char** argv) {
       cli.get_string("figure", ids, "comma-separated entries to run, in this order");
   BenchOptions opt;
   opt.full = cli.get_bool("full", false, "run the paper-scale problem sizes (slow)");
-  opt.sizes = counts(cli, "sizes", "comma-separated body counts");
-  opt.procs = counts(cli, "procs", "comma-separated processor counts");
-  opt.warmup = static_cast<int>(cli.get_int("warmup", 1, "warm-up steps (untimed)"));
-  opt.measured = static_cast<int>(cli.get_int("steps", 2, "measured time-steps"));
-  if (opt.warmup < 0)
-    usage_error("bad --warmup: '" + std::to_string(opt.warmup) + "' (must be >= 0)");
-  if (opt.measured < 1)
-    usage_error("bad --steps: '" + std::to_string(opt.measured) + "' (must be >= 1)");
+  opt.sizes = cli.get_int_list("sizes", "",
+                               "comma-separated body counts (empty: each entry's own)", 1);
+  opt.procs = cli.get_int_list(
+      "procs", "", "comma-separated processor counts (empty: each entry's own)", 1,
+      kMaxSimProcs);
+  opt.warmup = static_cast<int>(cli.get_int("warmup", 1, "warm-up steps (untimed)", 0));
+  opt.measured = static_cast<int>(cli.get_int("steps", 2, "measured time-steps", 1));
   const std::string backend_names = sim_backend_names_joined();
   const std::string backend = cli.get_string("backend", to_string(default_sim_backend()),
                                              "scheduler backend: " + backend_names);

@@ -18,8 +18,10 @@
 #include <string>
 
 #include "anatomy/sweep.hpp"
+#include "bh/node.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
+#include "sim/sim_rt.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "trace/trace.hpp"
@@ -35,20 +37,25 @@ int main(int argc, char** argv) {
   spec.platform = cli.get_string("platform", "typhoon0_hlrc", platform_help.c_str());
   spec.algorithm = algorithm_from_name(
       cli.get_string("algorithm", "SPACE", algorithm_help.c_str()));
-  spec.n = static_cast<int>(cli.get_int("n", 16384, "number of bodies"));
-  spec.nprocs = static_cast<int>(cli.get_int("procs", 16, "simulated processors"));
-  spec.warmup_steps = static_cast<int>(cli.get_int("warmup", 2, "untimed steps"));
-  spec.measured_steps = static_cast<int>(cli.get_int("steps", 2, "timed steps"));
+  spec.n = static_cast<int>(cli.get_int("n", 16384, "number of bodies", 1));
+  spec.nprocs =
+      static_cast<int>(cli.get_int("procs", 16, "simulated processors", 1, kMaxSimProcs));
+  spec.warmup_steps = static_cast<int>(cli.get_int("warmup", 2, "untimed steps", 0));
+  spec.measured_steps = static_cast<int>(cli.get_int("steps", 2, "timed steps", 1));
   spec.bh.theta = cli.get_double("theta", 1.0, "opening criterion");
-  spec.bh.leaf_cap = static_cast<int>(cli.get_int("leaf-cap", 8, "bodies per leaf"));
+  spec.bh.leaf_cap =
+      static_cast<int>(cli.get_int("leaf-cap", 8, "bodies per leaf", 1, kLeafCapacity));
   spec.bh.space_threshold = static_cast<int>(
       cli.get_int("space-threshold", 0, "SPACE subdivision threshold (0 = auto)"));
   spec.bh.lock_buckets = static_cast<int>(
       cli.get_int("lock-buckets", 0, "ALOCK pool size (0 = per-cell locks)"));
   spec.bh.seed = static_cast<std::uint64_t>(cli.get_int("seed", 12345, "RNG seed"));
-  spec.bh.partitioner = cli.get_string("partitioner", "costzones", "costzones|orb") == "orb"
-                            ? Partitioner::kOrb
-                            : Partitioner::kCostzones;
+  const std::string partitioner = cli.get_string("partitioner", "costzones", "costzones|orb");
+  if (partitioner != "costzones" && partitioner != "orb") {
+    std::fprintf(stderr, "bad --partitioner: '%s' (want costzones|orb)\n", partitioner.c_str());
+    return 2;
+  }
+  spec.bh.partitioner = partitioner == "orb" ? Partitioner::kOrb : Partitioner::kCostzones;
   const std::string backend_names = sim_backend_names_joined();
   const std::string backend =
       cli.get_string("backend", to_string(default_sim_backend()),

@@ -75,7 +75,7 @@ class NodePool {
   /// Hands out the node at an index the caller reserved through counter(),
   /// default-constructed. Only the reserving thread may call this for an
   /// index: construction is a plain write, so concurrent callers (ORIG's
-  /// shared pool under NativeRt/OmpRt) must each own the index they build.
+  /// shared pool under NativeRT) must each own the index they build.
   Node* at(std::int64_t idx) {
     PTB_CHECK_MSG(idx >= 0 && static_cast<std::size_t>(idx) < capacity_,
                   "node pool exhausted — raise pool capacity");

@@ -1,5 +1,5 @@
 // The application driver: runs the full Barnes–Hut timestep pipeline on any
-// runtime (SeqContext / NativeContext / SimContext) with any tree builder.
+// runtime (NativeContext / SimContext) with any tree builder.
 //
 // Per the paper's methodology, timing begins after `warmup_steps` time-steps
 // ("to eliminate unrepresentative cold-start and let the partitioning scheme

@@ -254,8 +254,9 @@ struct ForceOut {
 
 /// The force loop over bodies ids[0..count): read each body, walk the tree,
 /// charge the interactions, evaluate, and store the acceleration and cost.
-/// Native runtimes run it over the whole partition; under SimRT a section
-/// runs it for the chunks it walks itself.
+/// NativeRT, and SimRT under the PTB_FORCE_SLOWPATH oracle, run it over the
+/// whole partition; otherwise a SimRT section runs it for the chunks the
+/// walk-ahead helper did not claim.
 template <class RT>
 void force_bodies(RT& rt, AppState& st, const std::int32_t* ids, std::size_t count,
                   ForceCounts& sum) {
@@ -275,18 +276,9 @@ void force_bodies(RT& rt, AppState& st, const std::int32_t* ids, std::size_t cou
     std::uint64_t nb = 0;
     if (slow) {
       force_walk(rt, st, root, b.pos, bi, theta2, eps2, acc, nc, nb);
-    } else if (tr == nullptr) {
-      il.clear();
-      gather_walk(rt, st, root, b.pos, bi, theta2, il);
-      nc = il.cells();
-      nb = il.bodies();
-      rt.compute_n(work::kBodyCellInteraction, nc);
-      rt.compute_n(work::kBodyBodyInteraction, nb);
-      acc = bh::evaluate(il, b.pos, eps2);
     } else {
-      // Traced: same work, bracketed into per-body gather/evaluate
-      // sub-spans. The interaction compute is charged after the gather
-      // timestamp so its cost lands in the evaluate span.
+      // The interaction compute is charged after the gather timestamp, so a
+      // traced run sees its cost in the evaluate span.
       il.clear();
       const std::uint64_t t0 = rt.trace_now();
       gather_walk(rt, st, root, b.pos, bi, theta2, il);
@@ -296,9 +288,10 @@ void force_bodies(RT& rt, AppState& st, const std::int32_t* ids, std::size_t cou
       rt.compute_n(work::kBodyCellInteraction, nc);
       rt.compute_n(work::kBodyBodyInteraction, nb);
       acc = bh::evaluate(il, b.pos, eps2);
-      const std::uint64_t t2 = rt.trace_now();
-      tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
-      tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, t2);
+      if (tr != nullptr) {
+        tr->span(rt.self(), trace::kCatPhase, "force-gather", t0, t1);
+        tr->span(rt.self(), trace::kCatPhase, "force-evaluate", t1, rt.trace_now());
+      }
     }
     b.acc = acc;
     b.cost = static_cast<double>(nc + nb);

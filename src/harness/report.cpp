@@ -51,16 +51,6 @@ Breakdown breakdown_from(const trace::MetricsRegistry& m, int nprocs) {
   return b;
 }
 
-std::string fmt_breakdown(const Breakdown& b) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "busy=%s mem=%s lock=%s barrier=%s",
-                fmt_percent(b.frac(b.busy_s)).c_str(),
-                fmt_percent(b.frac(b.mem_stall_s)).c_str(),
-                fmt_percent(b.frac(b.lock_wait_s)).c_str(),
-                fmt_percent(b.frac(b.barrier_wait_s)).c_str());
-  return buf;
-}
-
 std::string fmt_wait(const WaitSummary& w) {
   if (w.events == 0) return "none";
   char buf[160];

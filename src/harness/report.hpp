@@ -33,9 +33,6 @@ struct Breakdown {
 /// divided by `nprocs`).
 Breakdown breakdown_from(const trace::MetricsRegistry& m, int nprocs);
 
-/// "busy=62.1% mem=30.0% lock=5.2% barrier=2.7%" cell group.
-std::string fmt_breakdown(const Breakdown& b);
-
 /// "mean=1.2ms max=8.0ms p95=4.1ms (x123)" wait-statistics cell.
 std::string fmt_wait(const WaitSummary& w);
 

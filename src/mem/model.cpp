@@ -33,13 +33,6 @@ void MemModel::reset_stats() {
   stats_.assign(static_cast<std::size_t>(nprocs_), MemProcStats{});
 }
 
-MemProcStats MemModel::total_stats() const {
-  MemProcStats t;
-  for (const auto& s : stats_)
-    for (const MemCounterDesc& c : kMemCounters) t.*c.field += s.*c.field;
-  return t;
-}
-
 std::unique_ptr<MemModel> make_mem_model(const PlatformSpec& spec, int nprocs) {
   switch (spec.protocol) {
     case Protocol::kIdeal:

@@ -161,7 +161,6 @@ class MemModel {
   const PlatformSpec& spec() const { return spec_; }
   int nprocs() const { return nprocs_; }
   const MemProcStats& proc_stats(int p) const { return stats_[static_cast<std::size_t>(p)]; }
-  MemProcStats total_stats() const;
   void reset_stats();
 
  protected:

@@ -107,9 +107,6 @@ struct Capture {
 
   std::uint64_t elapsed_ns() const;
   std::size_t total_events() const;
-  const void* obj_addr(std::uint32_t id) const {
-    return objs[static_cast<std::size_t>(id)];
-  }
 };
 
 /// Captures the dependency structure of one SimContext::run. Attach with

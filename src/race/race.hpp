@@ -67,7 +67,7 @@ inline constexpr std::size_t kGranuleBytes = 4;
 // for race-report context; happens-before comparisons use the clock alone.
 namespace epoch {
 
-inline constexpr int kProcBits = 8;   // SimContext caps nprocs at 64
+inline constexpr int kProcBits = 8;   // SimContext caps nprocs at kMaxSimProcs (64)
 inline constexpr int kPhaseBits = 4;  // kNumPhases == 6
 inline constexpr int kShift = kProcBits + kPhaseBits;
 inline constexpr std::uint64_t kNone = 0;  // clocks start at 1, so 0 is free

@@ -3,15 +3,15 @@
 // This is the runtime a downstream user of the library runs in production on
 // a real shared-memory multiprocessor. Shared-memory *annotations*
 // (read/write/compute) are no-ops that the optimizer deletes; locks map to a
-// hashed mutex pool; the barrier is a std::barrier. Phase times are
-// wall-clock per thread.
+// hashed mutex pool; the barrier is a std::barrier. Phase times and barrier
+// waits are wall-clock per thread. Native runs are not traced: the tracer is
+// a simulator observer.
 #pragma once
 
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -20,9 +20,12 @@
 #include "mem/region_table.hpp"  // HomePolicy (annotation only; no cost here)
 #include "rt/phase.hpp"
 #include "support/check.hpp"
-#include "trace/trace.hpp"
 
 namespace ptb {
+
+namespace trace {
+class Tracer;
+}  // namespace trace
 
 class NativeContext;
 
@@ -47,10 +50,9 @@ class NativeProc {
     f();
   }
 
-  /// Tracer access for phase code that emits its own sub-spans; timestamps
-  /// are wall nanoseconds since run() started (the context's trace domain).
-  trace::Tracer* tracer() const;
-  std::uint64_t trace_now() const;
+  /// No tracer: phase code that emits its own sub-spans skips them.
+  trace::Tracer* tracer() const { return nullptr; }
+  std::uint64_t trace_now() const { return 0; }
 
   /// Combined charge + load/store of a shared atomic that lock-free readers
   /// race on. On real threads this is a plain acquire/release access.
@@ -94,21 +96,10 @@ class NativeContext {
   /// application driver is runtime-generic.
   void register_region(const void*, std::size_t, HomePolicy, int, std::string) {}
 
-  /// Attaches an event tracer (null detaches). Timestamps are wall
-  /// nanoseconds since the current run() started. Lock waits are only timed
-  /// (two extra clock reads) while a tracer is attached, so detached runs
-  /// keep the untraced fast path.
-  void set_tracer(trace::Tracer* t) {
-    tracer_ = t;
-    if (t != nullptr) t->set_clock_domain("wall");
-  }
-  trace::Tracer* tracer() const { return tracer_; }
-
   /// Runs f(NativeProc&) on nprocs real threads (SPMD style) and joins them.
   template <class F>
   void run(F&& f) {
     const auto t0 = Clock::now();
-    epoch_ = t0;
     for (auto& m : mark_) m = t0;
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(nprocs_));
@@ -144,20 +135,11 @@ class NativeContext {
     return mutexes_[h % kNumMutexes];
   }
 
-  /// Wall nanoseconds since the current run() started (trace timestamps).
-  std::uint64_t trace_ns(Clock::time_point tp) const {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch_).count());
-  }
-
   void flush_phase(int p) {
     const auto now = Clock::now();
     const auto idx = static_cast<std::size_t>(p);
     stats_[idx].phase_ns[static_cast<int>(phase_[idx])] +=
         std::chrono::duration<double, std::nano>(now - mark_[idx]).count();
-    if (tracer_ != nullptr && now > mark_[idx])
-      tracer_->span(p, trace::kCatPhase, phase_name(phase_[idx]),
-                    trace_ns(mark_[idx]), trace_ns(now));
     mark_[idx] = now;
   }
 
@@ -167,38 +149,16 @@ class NativeContext {
   std::vector<Clock::time_point> mark_;
   std::vector<int> lock_depth_;
   std::barrier<> barrier_;
-  trace::Tracer* tracer_ = nullptr;
-  Clock::time_point epoch_ = Clock::now();
   std::mutex mutexes_[kNumMutexes];
 };
 
 inline int NativeProc::nprocs() const { return ctx_->nprocs_; }
 
-inline trace::Tracer* NativeProc::tracer() const { return ctx_->tracer_; }
-
-inline std::uint64_t NativeProc::trace_now() const {
-  return ctx_->trace_ns(NativeContext::Clock::now());
-}
-
 inline void NativeProc::lock(const void* addr) {
-  auto& st = ctx_->stats_[static_cast<std::size_t>(self_)];
-  const int phase = static_cast<int>(ctx_->phase_[static_cast<std::size_t>(self_)]);
-  ++st.lock_acquires[phase];
-  PTB_DCHECK(++ctx_->lock_depth_[static_cast<std::size_t>(self_)] == 1);
-  if (ctx_->tracer_ == nullptr) {
-    ctx_->mutex_for(addr).lock();
-    return;
-  }
-  const auto t0 = NativeContext::Clock::now();
+  const auto idx = static_cast<std::size_t>(self_);
+  ++ctx_->stats_[idx].lock_acquires[static_cast<int>(ctx_->phase_[idx])];
+  PTB_DCHECK(++ctx_->lock_depth_[idx] == 1);
   ctx_->mutex_for(addr).lock();
-  const auto t1 = NativeContext::Clock::now();
-  const double waited = std::chrono::duration<double, std::nano>(t1 - t0).count();
-  st.lock_wait_ns += waited;
-  st.lock_wait_phase_ns[phase] += waited;
-  st.lock_wait_events.add(waited);
-  if (t1 > t0)
-    ctx_->tracer_->span(self_, trace::kCatSync, "lock-wait", ctx_->trace_ns(t0),
-                        ctx_->trace_ns(t1));
 }
 
 inline void NativeProc::unlock(const void* addr) {
@@ -222,9 +182,6 @@ inline void NativeProc::barrier() {
   st.barrier_wait_ns += waited;
   st.barrier_wait_phase_ns[phase] += waited;
   st.barrier_wait_events.add(waited);
-  if (ctx_->tracer_ != nullptr && t1 > t0)
-    ctx_->tracer_->span(self_, trace::kCatSync, "barrier-wait", ctx_->trace_ns(t0),
-                        ctx_->trace_ns(t1));
 }
 
 inline void NativeProc::begin_phase(Phase p) {

@@ -72,7 +72,7 @@ bool default_race_detection() { return race::default_race_enabled(); }
 SimContext::SimContext(const PlatformSpec& spec, int nprocs, SimBackend backend,
                        bool race_detect, bool sight_observe)
     : spec_(spec), nprocs_(nprocs), backend_(backend), mem_(make_mem_model(spec, nprocs)) {
-  PTB_CHECK(nprocs >= 1 && nprocs <= 64);
+  PTB_CHECK(nprocs >= 1 && nprocs <= kMaxSimProcs);
   // Sight first: within one charge, its trace instants precede the race
   // detector's, which precede the memory instants.
   if (sight_observe) {

@@ -112,6 +112,10 @@ namespace anatomy {
 class Collector;
 }  // namespace anatomy
 
+/// The most simulated processors a SimContext runs: the protocol models keep
+/// their sharer and writer sets as 64-bit masks.
+inline constexpr int kMaxSimProcs = 64;
+
 /// How SimContext::run executes the simulated processors.
 enum class SimBackend { kFibers, kParallel };
 
@@ -214,9 +218,8 @@ class SimProc {
 
   /// The attached tracer (null when tracing is off) and the current virtual
   /// time (clock + unfolded pending cost) — lets phase code emit its own
-  /// sub-spans at one null-check of cost when tracing is disabled. Uniform
-  /// across runtimes: NativeRT/OmpRT/SeqRT expose the same pair with wall
-  ///-clock timestamps.
+  /// sub-spans at one null-check of cost when tracing is disabled. NativeRT
+  /// exposes the same pair as a null tracer and time zero.
   trace::Tracer* tracer() const;
   std::uint64_t trace_now() const;
 
@@ -286,18 +289,9 @@ class SimContext {
   }
 
   /// Charges a read/write of [addr, addr+n) at processor p's turn and runs
-  /// `f()` at that same turn (see SimProc::ordered_load).
-  template <class F>
-  auto ordered_apply(int p, const void* addr, std::size_t n, bool is_write, F&& f) {
-    flush_pending(p);
-    wait_for_turn(p);
-    ordered_charge(p, addr, n, is_write);
-    return f();
-  }
-
-  /// ordered_apply for an atomic object at `sync`: the charge is the plain
-  /// read/write, and observers see `sync` to follow the release/acquire
-  /// structure.
+  /// `f()` at that same turn (see SimProc::ordered_load). `sync` is the
+  /// atomic object `f` accesses: the charge is the plain read/write, and
+  /// observers see `sync` to follow the release/acquire structure.
   template <class F>
   auto ordered_apply_sync(int p, const void* sync, const void* addr, std::size_t n,
                           bool is_write, F&& f) {

@@ -47,6 +47,15 @@ namespace {
   std::exit(2);
 }
 
+/// Exits 2 unless lo <= x <= hi; `v` is the value as given.
+void require_in(const std::string& name, const std::string& v, std::int64_t x,
+                std::int64_t lo, std::int64_t hi, const char* every) {
+  if (x >= lo && x <= hi) return;
+  std::fprintf(stderr, "bad --%s: '%s' (%smust be %s %lld)\n", name.c_str(), v.c_str(), every,
+               x < lo ? ">=" : "<=", static_cast<long long>(x < lo ? lo : hi));
+  std::exit(2);
+}
+
 /// All of `v` as a T; nullopt when `v` is empty or has anything after the number.
 template <typename T>
 std::optional<T> parse_whole(std::string_view v) {
@@ -93,6 +102,26 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name, const std::
     if (comma == all.size()) return out;
     pos = comma + 1;
   }
+}
+
+const std::string& Cli::given_or(const std::string& name, const std::string& def) const {
+  const auto it = args_.find(name);
+  return it != args_.end() ? it->second : def;
+}
+
+std::int64_t Cli::get_int(const std::string& name, std::int64_t def, const std::string& help,
+                          std::int64_t lo, std::int64_t hi) {
+  const std::int64_t x = get_int(name, def, help);
+  require_in(name, given_or(name, std::to_string(def)), x, lo, hi, "");
+  return x;
+}
+
+std::vector<std::int64_t> Cli::get_int_list(const std::string& name, const std::string& def,
+                                            const std::string& help, std::int64_t lo,
+                                            std::int64_t hi) {
+  std::vector<std::int64_t> out = get_int_list(name, def, help);
+  for (std::int64_t x : out) require_in(name, given_or(name, def), x, lo, hi, "every entry ");
+  return out;
 }
 
 void Cli::epilogue(std::string text) {

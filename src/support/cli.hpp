@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,6 +33,17 @@ class Cli {
   std::vector<std::int64_t> get_int_list(const std::string& name, const std::string& def,
                                          const std::string& help);
 
+  /// get_int and get_int_list for counts that must lie in [lo, hi]. A value
+  /// outside prints `bad --<flag>: '<value>' (must be >= <lo>)`, or `<= <hi>`,
+  /// with "every entry" before "must" for a list, and exits 2. The default
+  /// `hi` keeps the value within an int.
+  static constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  std::int64_t get_int(const std::string& name, std::int64_t def, const std::string& help,
+                       std::int64_t lo, std::int64_t hi = kIntMax);
+  std::vector<std::int64_t> get_int_list(const std::string& name, const std::string& def,
+                                         const std::string& help, std::int64_t lo,
+                                         std::int64_t hi = kIntMax);
+
   /// Free-form text printed after the flag list on --help (environment
   /// variables, exit-code contract, examples). May be called repeatedly;
   /// blocks are printed in call order.
@@ -44,6 +56,9 @@ class Cli {
   const std::string& program() const { return program_; }
 
  private:
+  /// The value given for `name`, or `def` when the flag is absent.
+  const std::string& given_or(const std::string& name, const std::string& def) const;
+
   struct HelpEntry {
     std::string name;
     std::string def;

@@ -1,4 +1,4 @@
-// ptb::trace — low-overhead, opt-in event tracing for every runtime.
+// ptb::trace — low-overhead, opt-in event tracing of simulated runs.
 //
 // A Tracer owns one ring buffer per processor and records two event shapes:
 //
@@ -7,18 +7,17 @@
 //  * instants — point events (cache misses, invalidations, page faults,
 //              fiber switches), optionally carrying a count.
 //
-// Timestamps are whatever clock the producing runtime runs on: *virtual*
-// nanoseconds under SimContext, wall nanoseconds since run start under the
-// native/OpenMP/sequential runtimes. Event names and categories are static
+// Timestamps are *virtual* nanoseconds: the simulator is the one runtime
+// that traces (NativeRT has no tracer). Event names and categories are static
 // strings, so recording an event is a couple of stores — no allocation, no
 // formatting, no locking (each processor writes only its own buffer, and the
 // simulator serializes processors anyway).
 //
-// The "off" state is the design center: runtimes keep a `Tracer*` that is
-// null unless the user asked for a trace (--trace / PTB_TRACE). Under the
-// simulator the tracer is a SimObserver (sim/observer.hpp): its hooks turn
-// the simulator's events into spans and instants, and with nothing attached
-// the DES pays one empty-list check per operation (bench_sched_micro guards
+// The "off" state is the design center: SimContext keeps a `Tracer*` that
+// is null unless the user asked for a trace (--trace / PTB_TRACE). The
+// tracer is a SimObserver (sim/observer.hpp): its hooks turn the
+// simulator's events into spans and instants, and with nothing attached the
+// DES pays one empty-list check per operation (bench_sched_micro guards
 // this).
 //
 // Buffers are bounded: once a processor's buffer is full, further events are
@@ -64,8 +63,8 @@ class Tracer final : public SimObserver {
 
   int nprocs() const { return nprocs_; }
 
-  /// Clock domain label written into the trace metadata: "virtual" for the
-  /// simulator, "wall" for native runtimes.
+  /// Clock domain label written into the trace metadata ("virtual", the
+  /// default, for the simulator).
   void set_clock_domain(const char* domain) { clock_domain_ = domain; }
   const char* clock_domain() const { return clock_domain_; }
 

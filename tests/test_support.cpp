@@ -261,14 +261,17 @@ TEST(Cli, ParsesBoolsAndDoubles) {
   cli.finish();
 }
 
+/// Parses the one flag `arg` and reads it with `get`.
+template <class Get>
+void parse(const char* arg, Get get) {
+  const char* argv[] = {"prog", arg};
+  Cli cli(2, const_cast<char**>(argv));
+  get(cli);
+}
+
 // Each getter reads the whole token; a value it cannot read exits 2 and names
 // the flag, rather than running with whatever prefix strtoll/strtod accepted.
 TEST(CliDeathTest, MalformedValuesExitTwo) {
-  const auto parse = [](const char* arg, auto get) {
-    const char* argv[] = {"prog", arg};
-    Cli cli(2, const_cast<char**>(argv));
-    get(cli);
-  };
   const auto get_int = [](Cli& c) { (void)c.get_int("n", 1, ""); };
   const auto get_double = [](Cli& c) { (void)c.get_double("theta", 1.0, ""); };
   const auto get_bool = [](Cli& c) { (void)c.get_bool("csv", false, ""); };
@@ -292,6 +295,37 @@ TEST(CliDeathTest, MalformedValuesExitTwo) {
               "bad --sizes: '8,,16'");
   EXPECT_EXIT(parse("--sizes=8,", get_list), testing::ExitedWithCode(2),
               "bad --sizes: '8,'");
+}
+
+TEST(Cli, RangedGettersAcceptTheirBounds) {
+  const char* argv[] = {"prog", "--procs=64", "--warmup=0", "--sizes=1,8"};
+  Cli cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(cli.get_int("procs", 16, "", 1, 64), 64);
+  EXPECT_EQ(cli.get_int("warmup", 2, "", 0), 0);
+  EXPECT_EQ(cli.get_int("steps", 2, "", 1), 2);
+  EXPECT_EQ(cli.get_int_list("sizes", "", "", 1), (std::vector<std::int64_t>{1, 8}));
+  EXPECT_TRUE(cli.get_int_list("threads", "", "", 1, 64).empty());
+  cli.finish();
+}
+
+// A count outside its range exits 2 and names the bound it breaks, so ptbsim,
+// ptbfig and the examples never run (or crash on) a count they cannot run.
+TEST(CliDeathTest, OutOfRangeCountsExitTwo) {
+  const auto procs = [](Cli& c) { (void)c.get_int("procs", 16, "", 1, 64); };
+  const auto warmup = [](Cli& c) { (void)c.get_int("warmup", 2, "", 0); };
+  const auto list = [](Cli& c) { (void)c.get_int_list("procs", "", "", 1, 64); };
+  EXPECT_EXIT(parse("--procs=0", procs), testing::ExitedWithCode(2),
+              "bad --procs: '0' \\(must be >= 1\\)");
+  EXPECT_EXIT(parse("--procs=65", procs), testing::ExitedWithCode(2),
+              "bad --procs: '65' \\(must be <= 64\\)");
+  EXPECT_EXIT(parse("--warmup=-1", warmup), testing::ExitedWithCode(2),
+              "bad --warmup: '-1' \\(must be >= 0\\)");
+  EXPECT_EXIT(parse("--warmup=2147483648", warmup), testing::ExitedWithCode(2),
+              "bad --warmup: '2147483648' \\(must be <= 2147483647\\)");
+  EXPECT_EXIT(parse("--procs=8,65", list), testing::ExitedWithCode(2),
+              "bad --procs: '8,65' \\(every entry must be <= 64\\)");
+  EXPECT_EXIT(parse("--procs=0,8", list), testing::ExitedWithCode(2),
+              "bad --procs: '0,8' \\(every entry must be >= 1\\)");
 }
 
 }  // namespace

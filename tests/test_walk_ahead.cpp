@@ -10,9 +10,10 @@
 //    observer captures every charge of the force phases, once charged
 //    through the replay and once by a force phase that calls gather_walk
 //    straight on SimProc (the loop perfbench's traced pass keeps); the two
-//    streams must be equal event for event. Without observers the replay
-//    takes its batched route, which must leave every clock, counter and
-//    acceleration where the direct walk leaves them, on both backends.
+//    streams must be equal event for event, and the two runs' traces equal
+//    byte for byte. Without observers the replay takes its batched route,
+//    which must leave every clock, counter and acceleration where the direct
+//    walk leaves them, on both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "mem/model.hpp"
 #include "sim/sim_rt.hpp"
 #include "sim/walk_ahead.hpp"
+#include "trace/trace.hpp"
 #include "treebuild/local.hpp"
 #include "treebuild/orig.hpp"
 #include "treebuild/partree.hpp"
@@ -277,6 +279,7 @@ struct Outcome {
   std::vector<std::uint64_t> interactions;
   std::vector<Vec3> acc;
   std::uint64_t handed = 0;  // chunks the sections replayed
+  std::string trace;         // Chrome JSON of an observed run
 };
 
 struct Snapshot {
@@ -321,7 +324,11 @@ std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
     SimContext ctx(PlatformSpec::by_name(platform), nprocs, m.backend,
                    /*race_detect=*/false, /*sight_observe=*/false);
     ForceChargeLog log;
-    if (m.observed) ctx.add_observer(&log);
+    trace::Tracer tracer(nprocs, /*capacity_per_proc=*/0);
+    if (m.observed) {
+      ctx.add_observer(&log);
+      ctx.set_tracer(&tracer);
+    }
     register_common_regions(ctx, st);
     builder.register_regions(ctx);
     builder.reset();
@@ -339,6 +346,7 @@ std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
     }
     for (const Body& b : st.bodies) o.acc.push_back(b.acc);
     o.handed = ctx.walk_ahead().handed();
+    if (m.observed) o.trace = tracer.chrome_json();
     out.push_back(std::move(o));
   }
   return out;
@@ -410,6 +418,10 @@ TEST_P(ForceReplayP, ReplayedChargesMatchTheDirectWalk) {
       << "charge streams diverge at event " << (diverge.first - replayed.begin()) << " of "
       << replayed.size() << " replayed / " << direct.size() << " direct";
   expect_same_state(runs[0], runs[1]);
+  // Both observed runs carry a tracer: the replay's force-gather and
+  // force-evaluate spans must serialize exactly as the inline loop's.
+  EXPECT_NE(runs[1].trace.find("\"force-evaluate\""), std::string::npos);
+  EXPECT_TRUE(runs[0].trace == runs[1].trace) << "replayed and direct traces differ";
   // Unobserved: the batched replay must land on the same state.
   expect_same_state(runs[2], runs[3]);
   expect_same_state(runs[2], runs[0]);

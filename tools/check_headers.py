@@ -31,14 +31,14 @@ def find_headers(src_dir):
     return sorted(out)
 
 
-def check_one(cxx, root, header, extra_flags):
+def check_one(cxx, root, header):
     rel = os.path.relpath(header, os.path.join(root, "src"))
     with tempfile.TemporaryDirectory() as td:
         tu = os.path.join(td, "tu.cpp")
         with open(tu, "w", encoding="utf-8") as fh:
             fh.write(f'#include "{rel}"\n')
         cmd = [cxx, "-std=c++20", "-fsyntax-only", "-Wall", "-Wextra",
-               "-I", os.path.join(root, "src")] + extra_flags + [tu]
+               "-I", os.path.join(root, "src"), tu]
         proc = subprocess.run(cmd, capture_output=True, text=True)
     return rel, proc.returncode, proc.stderr
 
@@ -64,15 +64,9 @@ def main(argv):
         print("check_headers: no headers found", file=sys.stderr)
         return 2
 
-    # rt/omp_rt.hpp legitimately needs the OpenMP toolchain flag; everything
-    # else must compile without special treatment.
-    def flags_for(h):
-        return ["-fopenmp", "-DPTB_HAVE_OPENMP=1"] if h.endswith("omp_rt.hpp") else []
-
     failures = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
-        futs = [ex.submit(check_one, args.compiler, root, h, flags_for(h))
-                for h in headers]
+        futs = [ex.submit(check_one, args.compiler, root, h) for h in headers]
         for fut in concurrent.futures.as_completed(futs):
             rel, rc, err = fut.result()
             if rc != 0:

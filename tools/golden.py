@@ -7,7 +7,7 @@ temporary directory with fixed report names, masks the build provenance
 (`git_sha`, `build_type`) in the JSON reports, and compares the SHA-256 of
 stdout, stderr, the exit code and every report with
 tests/golden/observers.sha256. The trace alone is about 9 MB, hence digests
-rather than the files.
+rather than the files. A few usage errors (exit 2) are pinned alongside.
 
 Figure mode (--ptbfig) runs `ptbfig --figure=<id> --sizes=1024 --warmup=1
 --steps=1` for every entry, one two-entry invocation whose stdout must equal
@@ -61,6 +61,16 @@ OBSERVER_CONFIGS = {
     "elided": (["--platform", "challenge", "--algorithm", "ORIG", "--n", "512", "--procs",
                 "2", "--warmup", "1", "--steps", "1", "--race", "--elide-locks", "--sight",
                 "--trace"], 2, None),
+    # Counts ptbsim cannot run, and a partitioner it does not know: each is a
+    # usage error (exit 2) before anything is simulated.
+    "zero-steps": (["--n", "1024", "--procs", "4", "--steps", "0", "--csv"], 2, None),
+    "negative-warmup": (["--n", "1024", "--procs", "4", "--warmup", "-1", "--steps", "1",
+                         "--csv"], 2, None),
+    "zero-procs": (["--n", "1024", "--procs", "0"], 2, None),
+    "too-many-procs": (["--n", "1024", "--procs", "65"], 2, None),
+    "zero-bodies": (["--n", "0", "--procs", "4"], 2, None),
+    "leaf-cap-over": (["--n", "1024", "--leaf-cap", "17"], 2, None),
+    "unknown-partitioner": (["--n", "1024", "--partitioner=ORB"], 2, None),
 }
 
 # Every ptbfig entry, in the driver's order. A new entry changes the pinned
@@ -80,6 +90,7 @@ FIGURE_CONFIGS.update({
     "zero-procs": (["--figure=fig8", "--procs=0"], 2, None),
     "zero-steps": (["--figure=fig8", "--steps=0"], 2, None),
     "unknown-figure": (["--figure=fig7,fig99"], 2, None),
+    "too-many-procs": (["--figure=fig8", "--procs=65"], 2, None),
 })
 
 # --ptbsim / --ptbfig -> (configurations, digest file)
