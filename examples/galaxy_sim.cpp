@@ -4,6 +4,7 @@
 //
 //   ./examples/galaxy_sim --n 32768 --threads 8 --steps 10 --algorithm SPACE
 #include <cstdio>
+#include <optional>
 
 #include "bh/diagnostics.hpp"
 #include "bh/verify.hpp"
@@ -60,9 +61,15 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(cli.get_int("n", 32768, "number of bodies", 1));
   const int threads = static_cast<int>(cli.get_int("threads", 4, "worker threads", 1));
   const int steps = static_cast<int>(cli.get_int("steps", 8, "time-steps", 1));
-  const std::string alg = cli.get_string("algorithm", "SPACE",
-                                         algorithm_names_joined().c_str());
-  const double theta = cli.get_double("theta", 1.0, "opening criterion");
+  const std::string algorithm_help = algorithm_names_joined();
+  const std::string alg = cli.get_string("algorithm", "SPACE", algorithm_help.c_str());
+  const std::optional<Algorithm> algorithm = parse_algorithm(alg);
+  if (!algorithm) {
+    std::fprintf(stderr, "bad --algorithm: '%s' (want %s)\n", alg.c_str(),
+                 algorithm_help.c_str());
+    return 2;
+  }
+  const double theta = cli.get_double("theta", 1.0, "opening criterion", 0.0);
   cli.finish();
 
   BHConfig cfg;
@@ -75,7 +82,7 @@ int main(int argc, char** argv) {
   std::printf("initial energy: T=%.4f U=%.4f E=%.4f (virial ratio %.2f)\n\n", e0.kinetic,
               e0.potential, e0.total(), e0.virial_ratio());
 
-  run(st, algorithm_from_name(alg), threads, steps);
+  run(st, *algorithm, threads, steps);
 
   // Physics sanity: energy drift over the run.
   const EnergyReport e1 = total_energy(st.bodies, st.cfg.eps);

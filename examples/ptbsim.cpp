@@ -35,14 +35,25 @@ int main(int argc, char** argv) {
   const std::string platform_help = PlatformSpec::names_joined();
   const std::string algorithm_help = algorithm_names_joined();
   spec.platform = cli.get_string("platform", "typhoon0_hlrc", platform_help.c_str());
-  spec.algorithm = algorithm_from_name(
-      cli.get_string("algorithm", "SPACE", algorithm_help.c_str()));
+  if (!PlatformSpec::parse(spec.platform)) {
+    std::fprintf(stderr, "bad --platform: '%s' (want %s)\n", spec.platform.c_str(),
+                 platform_help.c_str());
+    return 2;
+  }
+  const std::string algorithm = cli.get_string("algorithm", "SPACE", algorithm_help.c_str());
+  const std::optional<Algorithm> parsed_algorithm = parse_algorithm(algorithm);
+  if (!parsed_algorithm) {
+    std::fprintf(stderr, "bad --algorithm: '%s' (want %s)\n", algorithm.c_str(),
+                 algorithm_help.c_str());
+    return 2;
+  }
+  spec.algorithm = *parsed_algorithm;
   spec.n = static_cast<int>(cli.get_int("n", 16384, "number of bodies", 1));
   spec.nprocs =
       static_cast<int>(cli.get_int("procs", 16, "simulated processors", 1, kMaxSimProcs));
   spec.warmup_steps = static_cast<int>(cli.get_int("warmup", 2, "untimed steps", 0));
   spec.measured_steps = static_cast<int>(cli.get_int("steps", 2, "timed steps", 1));
-  spec.bh.theta = cli.get_double("theta", 1.0, "opening criterion");
+  spec.bh.theta = cli.get_double("theta", 1.0, "opening criterion", 0.0);
   spec.bh.leaf_cap =
       static_cast<int>(cli.get_int("leaf-cap", 8, "bodies per leaf", 1, kLeafCapacity));
   spec.bh.space_threshold = static_cast<int>(

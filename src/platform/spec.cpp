@@ -199,7 +199,7 @@ PlatformSpec PlatformSpec::simt2020() {
   return s;
 }
 
-PlatformSpec PlatformSpec::by_name(const std::string& name) {
+std::optional<PlatformSpec> PlatformSpec::parse(const std::string& name) {
   if (name == "ideal") return ideal();
   if (name == "challenge") return challenge();
   if (name == "origin2000") return origin2000();
@@ -208,8 +208,13 @@ PlatformSpec PlatformSpec::by_name(const std::string& name) {
   if (name == "typhoon0_sc") return typhoon0_sc();
   if (name == "numa2020") return numa2020();
   if (name == "simt2020") return simt2020();
-  PTB_CHECK_MSG(false, "unknown platform name");
-  return ideal();
+  return std::nullopt;
+}
+
+PlatformSpec PlatformSpec::by_name(const std::string& name) {
+  const std::optional<PlatformSpec> spec = parse(name);
+  PTB_CHECK_MSG(spec.has_value(), "unknown platform name");
+  return *spec;
 }
 
 std::vector<std::string> PlatformSpec::all_names() {

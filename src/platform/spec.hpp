@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,8 +71,10 @@ struct PlatformSpec {
   static PlatformSpec simt2020();  // GPU-like wide-SIMT device
 
   /// Lookup by name ("ideal", "challenge", "origin2000", "paragon",
-  /// "typhoon0_hlrc", "typhoon0_sc", "numa2020", "simt2020"); aborts on
-  /// unknown names.
+  /// "typhoon0_hlrc", "typhoon0_sc", "numa2020", "simt2020"), or nullopt
+  /// for an unknown name.
+  static std::optional<PlatformSpec> parse(const std::string& name);
+  /// parse() for a name known to be valid: aborts on an unknown one.
   static PlatformSpec by_name(const std::string& name);
   static std::vector<std::string> all_names();
   /// "ideal|challenge|..." — the one shared platform listing for CLI help.

@@ -217,6 +217,11 @@ void Recorder::on_charge(const ChargeEvent& e) {
   }
 }
 
+void Recorder::on_replay(const ReplayEvent& e) {
+  PTB_CHECK_MSG(phase_[static_cast<std::size_t>(e.proc)] != Phase::kTreeBuild,
+                "prof: a replayed unit in the tree-build phase");
+}
+
 void Recorder::on_lock_request(const LockEvent& e) {
   lock_wait_begin(e.proc, e.lock, e.request_ns, phase_[static_cast<std::size_t>(e.proc)]);
 }

@@ -119,6 +119,9 @@ class Recorder final : public SimObserver {
   UnorderedUse unordered_use() const override { return UnorderedUse::kPerElement; }
   void on_run_start(const RunStartEvent& e) override { begin_run(e.nprocs); }
   void on_charge(const ChargeEvent& e) override;
+  /// Unordered charges feed only the tree-build phase's per-line table, and
+  /// replays come only from the force phase: nothing to record.
+  void on_replay(const ReplayEvent& e) override;
   void on_lock_request(const LockEvent& e) override;
   void on_lock_release(const LockEvent& e) override;
   void on_barrier_release(const BarrierReleaseEvent& e) override;

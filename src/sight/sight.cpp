@@ -11,6 +11,7 @@
 #include <system_error>
 #include <tuple>
 
+#include "sim/walk_ahead.hpp"
 #include "support/check.hpp"
 #include "support/provenance.hpp"
 #include "trace/metrics.hpp"
@@ -238,6 +239,38 @@ void SightModel::note_class(int proc, LineClass cls, std::uint64_t now) {
     tracer_->instant(proc, trace::kCatSight, line_class_name(cls), now, 1);
 }
 
+bool SightModel::read_line(Line& L, std::size_t ph, std::uint64_t bit) {
+  const bool new_reader = (L.total.readers & bit) == 0;
+  L.total.readers |= bit;
+  L.phase[ph].readers |= bit;
+  L.readers_since_write |= bit;
+  return new_reader;
+}
+
+bool SightModel::reclassify(Line& L) {
+  const LineClass c = classify(L.total);
+  if (c == L.cls) return false;
+  L.cls = c;
+  return true;
+}
+
+SightModel::ReuseView SightModel::reuse_view(int proc, std::size_t ph) {
+  const auto pi = static_cast<std::size_t>(proc);
+  return {reuse_[pi], static_cast<int>(ph), ws_lines_[pi][ph], ws_cold_[pi][ph],
+          reuse_dist_[pi][ph]};
+}
+
+void SightModel::ReuseView::note(std::uint32_t id) {
+  bool first_in_phase = false;
+  const std::uint64_t dist = tracker.access(id, phase, first_in_phase);
+  if (first_in_phase) lines += 1;
+  if (dist == ~std::uint64_t{0}) {
+    cold += 1;
+  } else {
+    reuse.add(static_cast<double>(dist));
+  }
+}
+
 void SightModel::touch_line(int proc, std::size_t block, bool is_write,
                             std::uint32_t object, bool has_object, std::uint64_t now,
                             bool has_now) {
@@ -250,11 +283,9 @@ void SightModel::touch_line(int proc, std::size_t block, bool is_write,
   // classify() reads the reader/writer masks and the transfer counts. A
   // re-read by a known reader, or a repeat write by the last writer,
   // changes none of them.
-  bool reclassify = true;
+  bool recheck = true;
   if (is_write) {
-    reclassify = L.last_writer != proc;
-    total.writes += 1;
-    pu.writes += 1;
+    recheck = L.last_writer != proc;
     total.writers |= bit;
     pu.writers |= bit;
     if (L.last_writer >= 0 && L.last_writer != proc) {
@@ -289,30 +320,10 @@ void SightModel::touch_line(int proc, std::size_t block, bool is_write,
     L.last_writer = static_cast<std::int16_t>(proc);
     L.readers_since_write = 0;
   } else {
-    reclassify = (total.readers & bit) == 0;
-    total.reads += 1;
-    pu.reads += 1;
-    total.readers |= bit;
-    pu.readers |= bit;
-    L.readers_since_write |= bit;
+    recheck = read_line(L, ph, bit);
   }
-  if (reclassify) {
-    const LineClass c = classify(total);
-    if (c != L.cls) {
-      L.cls = c;
-      note_class(proc, c, has_now ? now : now_hint_);
-    }
-  }
-
-  ReuseTracker& rt = reuse_[static_cast<std::size_t>(proc)];
-  bool first_in_phase = false;
-  const std::uint64_t dist = rt.access(id, static_cast<int>(ph), first_in_phase);
-  if (first_in_phase) ws_lines_[static_cast<std::size_t>(proc)][ph] += 1;
-  if (dist == ~std::uint64_t{0}) {
-    ws_cold_[static_cast<std::size_t>(proc)][ph] += 1;
-  } else {
-    reuse_dist_[static_cast<std::size_t>(proc)][ph].add(static_cast<double>(dist));
-  }
+  if (recheck && reclassify(L)) note_class(proc, L.cls, has_now ? now : now_hint_);
+  reuse_view(proc, ph).note(id);
 }
 
 void SightModel::observe(int proc, const void* p, std::size_t n, bool is_write,
@@ -372,6 +383,39 @@ void SightModel::on_charge(const ChargeEvent& e) {
     case ChargeKind::kBarrierDepart:
     case ChargeKind::kReadShared:
       break;  // barriers touch no line; they only advance the time hint
+  }
+}
+
+void SightModel::on_replay(const ReplayEvent& e) {
+  // on_charge's kReadShared path over the whole unit, with the processor's
+  // state looked up once. A class change goes to the tracer with its
+  // charge's index, so it lands among the memory instants where on_charge
+  // would have put it.
+  const auto pi = static_cast<std::size_t>(e.proc);
+  const auto ph = static_cast<std::size_t>(phase_[pi]);
+  const std::uint64_t bit = std::uint64_t{1} << e.proc;
+  LineLookaside& la = la_[pi];
+  ReuseView reuse = reuse_view(e.proc, ph);
+  for (std::size_t k = 0; k < e.size; ++k) {
+    const ChargeRecord& r = e.records[k];
+    const char* a = static_cast<const char*>(r.addr);
+    for (std::size_t i = 0; i < r.count; ++i) {
+      std::size_t first = 0;
+      std::size_t last = 0;
+      int home = 0;
+      std::int32_t region = LineLookaside::kNotShared;
+      if (!regions_.resolve_range_cached(a + i * r.stride, r.bytes, nprocs_, la, first, last,
+                                         home, region))
+        continue;
+      reads_ += 1;
+      for (std::size_t block = first; block <= last; ++block) {
+        const std::uint32_t id = line_id(block);
+        Line& L = lines_[id];
+        if (read_line(L, ph, bit) && reclassify(L) && tracer_ != nullptr)
+          tracer_->instant_at_charge(k, trace::kCatSight, line_class_name(L.cls), now_hint_);
+        reuse.note(id);
+      }
+    }
   }
 }
 

@@ -76,8 +76,6 @@ const char* line_class_name(LineClass c);
 struct LineUse {
   std::uint64_t readers = 0;  // bitmask of reading processors
   std::uint64_t writers = 0;  // bitmask of writing processors
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
   std::uint64_t writer_changes = 0;     // writes by a proc != previous writer
   std::uint64_t migratory_changes = 0;  // ...where the new writer read first
 };
@@ -160,6 +158,7 @@ class SightModel final : public SimObserver {
   void on_run_start(const RunStartEvent& e) override { tracer_ = e.tracer; }
   void on_region(const RegionEvent& e) override;
   void on_charge(const ChargeEvent& e) override;
+  void on_replay(const ReplayEvent& e) override;
   void on_phase(const PhaseEvent& e) override;
 
   /// Registers a region in the observer's table ONLY — the protocol model
@@ -239,12 +238,31 @@ class SightModel final : public SimObserver {
     std::uint64_t access(std::uint32_t id, int phase, bool& first_in_phase);
   };
 
+  /// Processor `proc`'s reuse state in one phase, looked up once for a run
+  /// of its accesses.
+  struct ReuseView {
+    ReuseTracker& tracker;
+    int phase;
+    std::uint64_t& lines;  // ws_lines_
+    std::uint64_t& cold;   // ws_cold_
+    Distribution& reuse;   // reuse_dist_
+    /// Records an access to line `id`.
+    void note(std::uint32_t id);
+  };
+
   void add_region(const void* base, std::size_t bytes, HomePolicy policy, int fixed_home,
                   std::string name);
   void observe(int proc, const void* p, std::size_t n, bool is_write, std::uint64_t now,
                bool has_now);
   void touch_line(int proc, std::size_t block, bool is_write, std::uint32_t object,
                   bool has_object, std::uint64_t now, bool has_now);
+  /// Records a read of `L` by the processor whose mask is `bit`, in phase
+  /// `ph`; true when it is a new reader, the one way a read can change the
+  /// line's class.
+  static bool read_line(Line& L, std::size_t ph, std::uint64_t bit);
+  /// Re-derives the line's whole-run class; true when it changed.
+  static bool reclassify(Line& L);
+  ReuseView reuse_view(int proc, std::size_t ph);
   /// Dense id of the line observing `block`, allocating it on first touch.
   std::uint32_t line_id(std::size_t block);
   void refresh_granules();

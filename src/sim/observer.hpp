@@ -13,7 +13,9 @@
 // All hooks run on the scheduler thread, one at a time: an unordered charge
 // (read_shared) reaches only the observers whose unordered_use() reads it,
 // and attaching such an observer makes kParallel run unordered sections
-// inline (sim_rt.hpp). Observers therefore need no locking.
+// inline (sim_rt.hpp). Observers therefore need no locking. A replayed unit
+// (SimProc::replay, one body's recorded force walk) reaches those observers
+// as one on_replay call after all of its charges were made.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +29,7 @@ class Tracer;
 }
 
 struct MemProcStats;    // mem/model.hpp
+struct ChargeRecord;    // sim/walk_ahead.hpp
 enum class Phase;       // rt/phase.hpp
 enum class HomePolicy;  // mem/region_table.hpp
 
@@ -73,6 +76,25 @@ struct ChargeEvent {
   /// The processor's protocol counters before and after the charge.
   const MemProcStats& before;
   const MemProcStats& after;
+};
+
+/// One processor's replayed unit (SimProc::replay), charged in one pass
+/// before any observer sees it. Charge i replays records[i], cost costs[i]
+/// and left the counters at after[i]; it began at `now` plus the costs and
+/// compute_ns of the charges before it. A record with count 0 is compute
+/// alone and charges nothing (its cost is 0, its counters unchanged). When
+/// spans decay to scalars (UnorderedUse::kPerElement), a span appears as
+/// count-1 records, its compute on the last one.
+struct ReplayEvent {
+  int proc;
+  /// Virtual time before the unit: clock plus the pending cost.
+  std::uint64_t now;
+  /// The processor's protocol counters before the unit.
+  const MemProcStats& before;
+  std::size_t size;
+  const ChargeRecord* records;
+  const std::uint64_t* costs;
+  const MemProcStats* after;
 };
 
 struct RunStartEvent {
@@ -139,6 +161,9 @@ class SimObserver {
   virtual void on_run_start(const RunStartEvent&) {}
   virtual void on_region(const RegionEvent&) {}
   virtual void on_charge(const ChargeEvent&) {}
+  /// A replayed unit in one call. The default expands it into the kReadShared
+  /// on_charge calls its charges would have made one by one (observer.cpp).
+  virtual void on_replay(const ReplayEvent& e);
   virtual void on_lock_request(const LockEvent&) {}
   virtual void on_lock_grant(const LockEvent&) {}
   virtual void on_lock_release(const LockEvent&) {}

@@ -20,6 +20,44 @@ namespace {
 // only the pages actually touched, like a host thread's stack.
 constexpr std::size_t kFiberStackBytes = std::size_t{8} << 20;
 
+/// detail::replay_reads (sim_rt.hpp) for an observed replay: also writes
+/// each charge's record, cost and counters to rec/cost/after, decaying spans
+/// to per-element charges when `per_element`, as read_shared_span does.
+template <class Model>
+[[gnu::flatten]] std::uint64_t replay_kept(Model& model, int proc, const ChargeRecord* r,
+                                           const ChargeRecord* end, bool per_element,
+                                           ChargeRecord* rec, std::uint64_t* cost,
+                                           MemProcStats* after, std::uint64_t& work) {
+  const MemProcStats& stats = model.proc_stats(proc);
+  std::uint64_t sum = 0;
+  for (; r != end; ++r) {
+    work += r->compute_ns;
+    if (r->count > 1 && per_element) {
+      const char* a = static_cast<const char*>(r->addr);
+      for (std::uint16_t i = 0; i < r->count; ++i) {
+        const void* elem = a + std::size_t{i} * r->stride;
+        const std::uint64_t c = model.on_read_shared(proc, elem, r->bytes);
+        sum += c;
+        const bool last = i + 1 == r->count;
+        *rec++ = {elem, r->bytes, r->bytes, 1, last ? r->compute_ns : std::uint16_t{0}};
+        *cost++ = c;
+        *after++ = stats;
+      }
+      continue;
+    }
+    std::uint64_t c = 0;
+    if (r->count == 1)
+      c = model.on_read_shared(proc, r->addr, r->bytes);
+    else if (r->count > 1)
+      c = model.on_read_shared_span(proc, r->addr, r->bytes, r->stride, r->count);
+    sum += c;
+    *rec++ = *r;
+    *cost++ = c;
+    *after++ = stats;
+  }
+  return sum;
+}
+
 }  // namespace
 
 SimBackend default_sim_backend() {
@@ -136,6 +174,32 @@ void SimContext::set_profiler(prof::Recorder* r) {
 void SimContext::set_anatomy(anatomy::Collector* c) {
   replace_observer(anatomy_, c);
   anatomy_ = c;
+}
+
+void SimContext::replay_observed(int p, const ChargeRecord* r, std::size_t n) {
+  const auto idx = static_cast<std::size_t>(p);
+  std::size_t charges = n;
+  if (per_element_spans_)
+    for (const ChargeRecord* q = r; q != r + n; ++q)
+      if (q->count > 1) charges += q->count - 1u;
+  ReplayScratch& s = replay_scratch_;
+  if (s.records.size() < charges) {
+    s.records.resize(charges);
+    s.costs.resize(charges);
+    s.after.resize(charges);
+  }
+  const MemProcStats before = mem_->proc_stats(p);
+  const std::uint64_t now = clock_[idx] + pending_[idx].v;
+  std::uint64_t work = 0;
+  const std::uint64_t mem = mem_fast_.visit([&](auto& model) {
+    return replay_kept(model, p, r, r + n, per_element_spans_, s.records.data(),
+                       s.costs.data(), s.after.data(), work);
+  });
+  pending_[idx].v += mem + work;
+  note_mem_stall(p, mem);
+  const ReplayEvent e{p, now, before, charges, s.records.data(), s.costs.data(),
+                      s.after.data()};
+  for (SimObserver* o : read_shared_observers_) o->on_replay(e);
 }
 
 void SimContext::register_region(const void* base, std::size_t bytes, HomePolicy policy,

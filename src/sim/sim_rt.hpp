@@ -60,10 +60,11 @@
 // Observers: the tracer, race detector, profiler, sight and anatomy all
 // implement SimObserver (sim/observer.hpp) and are notified from one list
 // after each charge and at each lock, barrier, phase, finish and scheduler
-// event. Every charge goes through the protocol model's sealed dispatch
-// whether or not anyone observes, and with nothing attached an operation
-// pays one empty-list check. kParallel overlaps unordered sections unless
-// an attached observer declares that it reads unordered charges.
+// event; a replayed unit reaches them as one on_replay call. Every charge
+// goes through the protocol model's sealed dispatch whether or not anyone
+// observes, and with nothing attached an operation pays one empty-list
+// check. kParallel overlaps unordered sections unless an attached observer
+// declares that it reads unordered charges.
 //
 // Walk-ahead: a phase may hand the pure walks of its unordered sections to
 // the context's helper thread (walk_ahead(), sim/walk_ahead.hpp) and charge
@@ -178,13 +179,15 @@ class SimProc {
   void read_shared_span(const void* p, std::size_t n, std::size_t stride,
                         std::size_t count);
 
-  /// Charges `n` recorded unordered charges (ChargeRecorder) exactly as the
-  /// calls they were recorded from. With no observer reading unordered
-  /// charges it is one pass through the sealed dispatch and one add to the
-  /// pending bucket and the stall total: the costs are integers far below
-  /// 2^53, so one sum of them is the sum of the adds. Otherwise each record
-  /// goes through read_shared / read_shared_span, and observers see every
-  /// ChargeEvent they would have seen.
+  /// Charges `n` recorded unordered charges (ChargeRecorder), one unit of a
+  /// walk, exactly as the calls they were recorded from. It is one pass
+  /// through the sealed dispatch and one add to the pending bucket and the
+  /// stall total: the costs are integers far below 2^53, so one sum of them
+  /// is the sum of the adds. With an observer reading unordered charges the
+  /// pass also keeps each charge's cost and counters, and each such observer
+  /// then gets the unit as one on_replay call, which carries everything the
+  /// unit's ChargeEvents would have. Under PTB_MEM_SLOWPATH each record goes
+  /// through read_shared / read_shared_span instead.
   void replay(const ChargeRecord* r, std::size_t n);
 
   /// This simulation's walk-ahead helper (sim/walk_ahead.hpp).
@@ -432,6 +435,10 @@ class SimContext {
     for (SimObserver* o : read_shared_observers_) o->on_charge(e);
     return cost;
   }
+  /// SimProc::replay with observers that read unordered charges: charges
+  /// the unit in one flattened pass that fills replay_scratch_, folds its
+  /// cost once, and hands the unit to each of those observers in one call.
+  void replay_observed(int p, const ChargeRecord* r, std::size_t n);
   /// Removes `old_obs` (if non-null) from the observer list, appends
   /// `new_obs` (if non-null), and re-derives the unordered-charge view.
   void replace_observer(SimObserver* old_obs, SimObserver* new_obs);
@@ -464,6 +471,17 @@ class SimContext {
   /// Some observer reads each span element's own cost
   /// (UnorderedUse::kPerElement): spans decay to scalar charges.
   bool per_element_spans_ = false;
+  /// One replayed unit's charges for replay_observed (ReplayEvent's arrays),
+  /// reused unit after unit: they grow to the largest unit's charge count
+  /// and no further. An observer that reads unordered charges makes every
+  /// section run inline on the scheduler thread, so one set serves all
+  /// processors.
+  struct ReplayScratch {
+    std::vector<ChargeRecord> records;
+    std::vector<std::uint64_t> costs;
+    std::vector<MemProcStats> after;
+  };
+  ReplayScratch replay_scratch_;
 
   /// The Active set ordered by (virtual clock, processor id): top() is the
   /// one processor allowed past its next ordering point. Maintained by every
@@ -615,7 +633,7 @@ template <class Model>
 inline void SimProc::replay(const ChargeRecord* r, std::size_t n) {
   SimContext& ctx = *ctx_;
   std::uint64_t& pending = ctx.pending_[static_cast<std::size_t>(self_)].v;
-  if (!ctx.read_shared_observers_.empty() || ctx.mem_slowpath_) {
+  if (ctx.mem_slowpath_) {
     for (const ChargeRecord* end = r + n; r != end; ++r) {
       if (r->count == 1)
         read_shared(r->addr, r->bytes);
@@ -623,6 +641,10 @@ inline void SimProc::replay(const ChargeRecord* r, std::size_t n) {
         read_shared_span(r->addr, r->bytes, r->stride, r->count);
       pending += r->compute_ns;
     }
+    return;
+  }
+  if (!ctx.read_shared_observers_.empty()) {
+    ctx.replay_observed(self_, r, n);
     return;
   }
   std::uint64_t work = 0;

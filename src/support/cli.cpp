@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -122,6 +123,18 @@ std::vector<std::int64_t> Cli::get_int_list(const std::string& name, const std::
   std::vector<std::int64_t> out = get_int_list(name, def, help);
   for (std::int64_t x : out) require_in(name, given_or(name, def), x, lo, hi, "every entry ");
   return out;
+}
+
+double Cli::get_double(const std::string& name, double def, const std::string& help,
+                       double lo) {
+  const double x = get_double(name, def, help);
+  if (std::isfinite(x) && x >= lo) return x;
+  const std::string v = given_or(name, std::to_string(def));
+  if (!std::isfinite(x))
+    std::fprintf(stderr, "bad --%s: '%s' (must be finite)\n", name.c_str(), v.c_str());
+  else
+    std::fprintf(stderr, "bad --%s: '%s' (must be >= %g)\n", name.c_str(), v.c_str(), lo);
+  std::exit(2);
 }
 
 void Cli::epilogue(std::string text) {

@@ -43,6 +43,10 @@ class Cli {
   std::vector<std::int64_t> get_int_list(const std::string& name, const std::string& def,
                                          const std::string& help, std::int64_t lo,
                                          std::int64_t hi = kIntMax);
+  /// get_double for a finite value of at least `lo`: NaN or an infinity
+  /// prints `bad --<flag>: '<value>' (must be finite)`, a smaller value
+  /// `(must be >= <lo>)`, and exits 2.
+  double get_double(const std::string& name, double def, const std::string& help, double lo);
 
   /// Free-form text printed after the flag list on --help (environment
   /// variables, exit-code contract, examples). May be called repeatedly;

@@ -5,6 +5,7 @@
 
 #include "mem/model.hpp"
 #include "rt/phase.hpp"
+#include "sim/walk_ahead.hpp"
 #include "support/check.hpp"
 
 namespace ptb::trace {
@@ -28,12 +29,41 @@ void Tracer::clear() {
   next_flow_id_ = 0;
 }
 
-void Tracer::on_charge(const ChargeEvent& e) {
+void Tracer::mem_instants(int proc, std::uint64_t now, const MemProcStats& before,
+                          const MemProcStats& after) {
   for (const MemCounterDesc& c : kMemCounters) {
     if (c.event == nullptr) continue;
-    const std::uint64_t delta = e.after.*c.field - e.before.*c.field;
-    if (delta != 0) instant(e.proc, kCatMem, c.event, e.now, static_cast<std::uint32_t>(delta));
+    const std::uint64_t delta = after.*c.field - before.*c.field;
+    if (delta != 0) instant(proc, kCatMem, c.event, now, static_cast<std::uint32_t>(delta));
   }
+}
+
+void Tracer::on_charge(const ChargeEvent& e) { mem_instants(e.proc, e.now, e.before, e.after); }
+
+void Tracer::on_replay(const ReplayEvent& e) {
+  std::size_t h = 0;
+  // Writes the held instants of the charges before `end`.
+  const auto release = [&](std::size_t end) {
+    for (; h < held_.size() && held_[h].charge < end; ++h) push(e.proc, held_[h].event);
+  };
+  // The counters only grow, so a unit whose last charge left every traced
+  // counter where the unit found it has no memory instant at all.
+  const MemProcStats& last = e.size == 0 ? e.before : e.after[e.size - 1];
+  bool moved = false;
+  for (const MemCounterDesc& c : kMemCounters)
+    moved |= c.event != nullptr && last.*c.field != e.before.*c.field;
+  if (moved) {
+    std::uint64_t now = e.now;
+    const MemProcStats* before = &e.before;
+    for (std::size_t i = 0; i < e.size; ++i) {
+      release(i + 1);
+      mem_instants(e.proc, now, *before, e.after[i]);
+      before = &e.after[i];
+      now += e.costs[i] + e.records[i].compute_ns;
+    }
+  }
+  release(~std::size_t{0});
+  held_.clear();
 }
 
 void Tracer::on_lock_grant(const LockEvent& e) {

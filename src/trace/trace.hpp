@@ -82,6 +82,16 @@ class Tracer final : public SimObserver {
     push(proc, Event{ts_ns, 0, name, cat, count, 0, 0});
   }
 
+  /// Records a point event on the track of the replayed unit about to reach
+  /// this tracer (on_replay), just before the memory instants of the unit's
+  /// charge `charge`: where it lands when each charge is notified on its
+  /// own. SightModel, which is notified before the tracer, emits its class
+  /// changes during a replay this way.
+  void instant_at_charge(std::size_t charge, const char* cat, const char* name,
+                         std::uint64_t ts_ns) {
+    held_.push_back({charge, Event{ts_ns, 0, name, cat, 1, 0, 0}});
+  }
+
   /// Records a causal arrow from (`from_proc`, from_ts) to (`to_proc`,
   /// to_ts) as a Chrome flow-event pair; Perfetto draws it between the
   /// tracks. Used for lock holder→waiter handoffs.
@@ -122,6 +132,7 @@ class Tracer final : public SimObserver {
   /// (count = delta).
   UnorderedUse unordered_use() const override { return UnorderedUse::kSpans; }
   void on_charge(const ChargeEvent& e) override;
+  void on_replay(const ReplayEvent& e) override;
   void on_lock_grant(const LockEvent& e) override;
   void on_lock_release(const LockEvent& e) override;
   void on_barrier_release(const BarrierReleaseEvent& e) override;
@@ -139,12 +150,22 @@ class Tracer final : public SimObserver {
     buf.push_back(e);
   }
 
+  /// One `mem` instant per traced counter that moved from `before` to `after`.
+  void mem_instants(int proc, std::uint64_t now, const MemProcStats& before,
+                    const MemProcStats& after);
+
+  struct Held {
+    std::size_t charge;
+    Event event;
+  };
+
   int nprocs_;
   std::size_t capacity_;
   const char* clock_domain_ = "virtual";
   std::uint32_t next_flow_id_ = 0;
   std::vector<std::vector<Event>> buffers_;
   std::vector<std::uint64_t> dropped_;
+  std::vector<Held> held_;  // instant_at_charge, in charge order
 };
 
 /// Resolves the trace output path: an explicit --trace flag wins; otherwise

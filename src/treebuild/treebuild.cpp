@@ -1,7 +1,5 @@
 #include "treebuild/types.hpp"
 
-#include "support/check.hpp"
-
 namespace ptb {
 
 const char* algorithm_name(Algorithm a) {
@@ -22,7 +20,7 @@ const char* algorithm_name(Algorithm a) {
   return "?";
 }
 
-Algorithm algorithm_from_name(const std::string& name) {
+std::optional<Algorithm> parse_algorithm(const std::string& name) {
   for (Algorithm a : all_algorithms())
     if (name == algorithm_name(a)) return a;
   // Accept lowercase too.
@@ -32,8 +30,7 @@ Algorithm algorithm_from_name(const std::string& name) {
   if (name == "partree") return Algorithm::kPartree;
   if (name == "space") return Algorithm::kSpace;
   if (name == "radix") return Algorithm::kRadix;
-  PTB_CHECK_MSG(false, "unknown algorithm name");
-  return Algorithm::kOrig;
+  return std::nullopt;
 }
 
 std::vector<Algorithm> all_algorithms() {

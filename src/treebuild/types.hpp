@@ -2,6 +2,7 @@
 // RADIX — the 2020s-era Morton-sort builder the modern platforms favour.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,9 @@ enum class Algorithm : int {
 inline constexpr int kNumAlgorithms = 6;
 
 const char* algorithm_name(Algorithm a);
-Algorithm algorithm_from_name(const std::string& name);
+/// The builder named `name` (algorithm_name, or the same in lowercase), or
+/// nullopt for an unknown name.
+std::optional<Algorithm> parse_algorithm(const std::string& name);
 std::vector<Algorithm> all_algorithms();
 
 /// "ORIG|LOCAL|UPDATE|PARTREE|SPACE|RADIX" — the one shared builder listing

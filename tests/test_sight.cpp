@@ -80,17 +80,14 @@ TEST(SightClassify, OneProcessorIsPrivateRegardlessOfMix) {
   LineUse u;
   EXPECT_EQ(sight::classify(u), LineClass::kUntouched);
   u.readers = 0b1;
-  u.reads = 3;
   EXPECT_EQ(sight::classify(u), LineClass::kPrivate);
   u.writers = 0b1;
-  u.writes = 2;
   EXPECT_EQ(sight::classify(u), LineClass::kPrivate);
 }
 
 TEST(SightClassify, MultipleReadersNoWriterIsReadShared) {
   LineUse u;
   u.readers = 0b1011;
-  u.reads = 9;
   EXPECT_EQ(sight::classify(u), LineClass::kReadShared);
 }
 
@@ -98,8 +95,6 @@ TEST(SightClassify, SingleWriterWithReadersIsProducerConsumer) {
   LineUse u;
   u.readers = 0b110;
   u.writers = 0b001;
-  u.reads = 6;
-  u.writes = 3;
   EXPECT_EQ(sight::classify(u), LineClass::kProducerConsumer);
 }
 
@@ -107,8 +102,6 @@ TEST(SightClassify, ReadBeforeWriteTransfersAreMigratory) {
   LineUse u;
   u.readers = 0b11;
   u.writers = 0b11;
-  u.reads = 8;
-  u.writes = 8;
   u.writer_changes = 4;
   u.migratory_changes = 4;  // every new owner read the line first
   EXPECT_EQ(sight::classify(u), LineClass::kMigratory);
@@ -119,7 +112,6 @@ TEST(SightClassify, ReadBeforeWriteTransfersAreMigratory) {
 TEST(SightClassify, BlindWriteBouncingIsPingPong) {
   LineUse u;
   u.writers = 0b11;
-  u.writes = 8;
   u.writer_changes = 4;
   u.migratory_changes = 0;
   EXPECT_EQ(sight::classify(u), LineClass::kPingPong);

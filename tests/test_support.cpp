@@ -298,13 +298,15 @@ TEST(CliDeathTest, MalformedValuesExitTwo) {
 }
 
 TEST(Cli, RangedGettersAcceptTheirBounds) {
-  const char* argv[] = {"prog", "--procs=64", "--warmup=0", "--sizes=1,8"};
-  Cli cli(4, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--procs=64", "--warmup=0", "--sizes=1,8", "--theta=0"};
+  Cli cli(5, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_int("procs", 16, "", 1, 64), 64);
   EXPECT_EQ(cli.get_int("warmup", 2, "", 0), 0);
   EXPECT_EQ(cli.get_int("steps", 2, "", 1), 2);
   EXPECT_EQ(cli.get_int_list("sizes", "", "", 1), (std::vector<std::int64_t>{1, 8}));
   EXPECT_TRUE(cli.get_int_list("threads", "", "", 1, 64).empty());
+  EXPECT_EQ(cli.get_double("theta", 1.0, "", 0.0), 0.0);
+  EXPECT_EQ(cli.get_double("eps", 0.5, "", 0.0), 0.5);
   cli.finish();
 }
 
@@ -326,6 +328,20 @@ TEST(CliDeathTest, OutOfRangeCountsExitTwo) {
               "bad --procs: '8,65' \\(every entry must be <= 64\\)");
   EXPECT_EXIT(parse("--procs=0,8", list), testing::ExitedWithCode(2),
               "bad --procs: '0,8' \\(every entry must be >= 1\\)");
+}
+
+// A double below its bound, NaN or an infinity exits 2: θ = -1 would run as
+// θ = 1 (only θ² is used), NaN as direct summation and ∞ as the root alone.
+TEST(CliDeathTest, NegativeOrNonFiniteDoublesExitTwo) {
+  const auto theta = [](Cli& c) { (void)c.get_double("theta", 1.0, "", 0.0); };
+  EXPECT_EXIT(parse("--theta=-1", theta), testing::ExitedWithCode(2),
+              "bad --theta: '-1' \\(must be >= 0\\)");
+  EXPECT_EXIT(parse("--theta=nan", theta), testing::ExitedWithCode(2),
+              "bad --theta: 'nan' \\(must be finite\\)");
+  EXPECT_EXIT(parse("--theta=inf", theta), testing::ExitedWithCode(2),
+              "bad --theta: 'inf' \\(must be finite\\)");
+  EXPECT_EXIT(parse("--theta=-inf", theta), testing::ExitedWithCode(2),
+              "bad --theta: '-inf' \\(must be finite\\)");
 }
 
 }  // namespace

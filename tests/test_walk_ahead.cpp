@@ -9,11 +9,15 @@
 //  * ForceReplay: the replay against the walk it replaces. A recording
 //    observer captures every charge of the force phases, once charged
 //    through the replay and once by a force phase that calls gather_walk
-//    straight on SimProc (the loop perfbench's traced pass keeps); the two
-//    streams must be equal event for event, and the two runs' traces equal
-//    byte for byte. Without observers the replay takes its batched route,
-//    which must leave every clock, counter and acceleration where the direct
-//    walk leaves them, on both backends.
+//    straight on SimProc (the loop perfbench's traced pass keeps). The
+//    replay hands each unit to the observers in one on_replay call: the
+//    recording observer takes the base expansion, and the tracer, sight and
+//    the profiler their own overrides. The two charge streams must be equal
+//    event for event, and the two runs' trace, sight and prof reports equal
+//    byte for byte, with spans kept and with spans decayed per element.
+//    Without observers the replay takes its flattened route, which must
+//    leave every clock, counter and acceleration where the direct walk
+//    leaves them, on both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,8 +30,12 @@
 #include "harness/app.hpp"
 #include "harness/experiment.hpp"
 #include "mem/model.hpp"
+#include "prof/prof.hpp"
+#include "prof/profile.hpp"
+#include "sight/sight.hpp"
 #include "sim/sim_rt.hpp"
 #include "sim/walk_ahead.hpp"
+#include "support/cell_resolver.hpp"
 #include "trace/trace.hpp"
 #include "treebuild/local.hpp"
 #include "treebuild/orig.hpp"
@@ -213,10 +221,13 @@ bool operator==(const MemProcStats& a, const MemProcStats& b) {
   return true;
 }
 
-/// Records every charge a processor takes while in the force phase.
+/// Records every charge a processor takes while in the force phase. It
+/// implements on_charge alone, so replayed units reach it through
+/// SimObserver's base expansion.
 class ForceChargeLog final : public SimObserver {
  public:
-  UnorderedUse unordered_use() const override { return UnorderedUse::kSpans; }
+  explicit ForceChargeLog(UnorderedUse use = UnorderedUse::kSpans) : use_(use) {}
+  UnorderedUse unordered_use() const override { return use_; }
   void on_run_start(const RunStartEvent& e) override {
     phase_.assign(static_cast<std::size_t>(e.nprocs), Phase::kOther);
   }
@@ -233,8 +244,64 @@ class ForceChargeLog final : public SimObserver {
   std::vector<Charge> log;
 
  private:
+  UnorderedUse use_;
   std::vector<Phase> phase_;
 };
+
+/// Unit u's charges, issued on a recording runtime or on SimProc: a
+/// compute-only record, scalars, spans followed by compute (which decay
+/// per element with the compute on the last one), a span of one, and a
+/// compute too wide for one record.
+template <class RT>
+void unit_calls(RT& rt, const char* arena, int u) {
+  rt.compute(5.0);
+  rt.read_shared(arena + 64 * u, 8);
+  rt.compute(3.0);
+  rt.read_shared_span(arena + 256, 16, 64, 3 + static_cast<std::size_t>(u));
+  rt.compute(2.0);
+  rt.read_shared_span(arena + 1024 + 128 * u, 8, 8, 1);
+  rt.compute(20000.0);
+  rt.read_shared_span(arena + 4096, 72, 128, 2);
+  rt.read_shared(arena + 8192 - 72, 72);
+}
+
+TEST(ForceReplay, ReplayedUnitsMatchTheirCallsWithSpansKeptAndDecayed) {
+  alignas(4096) static char arena[8192];
+  for (UnorderedUse use : {UnorderedUse::kSpans, UnorderedUse::kPerElement}) {
+    SCOPED_TRACE(use == UnorderedUse::kSpans ? "spans kept" : "spans decayed");
+    std::vector<Charge> logs[2];
+    std::vector<std::uint64_t> clocks[2];
+    for (int replay = 0; replay < 2; ++replay) {
+      SimContext ctx(PlatformSpec::challenge(), 2, SimBackend::kFibers,
+                     /*race_detect=*/false, /*sight_observe=*/false);
+      ctx.register_region(arena, sizeof arena, HomePolicy::kInterleavedBlock, 0, "arena");
+      ForceChargeLog log(use);
+      ctx.add_observer(&log);
+      ctx.run([&](SimProc& rt) {
+        rt.begin_phase(Phase::kForces);
+        rt.unordered([&] {
+          for (int u = 0; u < 3; ++u) {
+            if (replay == 0) {
+              unit_calls(rt, arena, u);
+              continue;
+            }
+            std::vector<ChargeRecord> recs;
+            ChargeRecorder rec(recs, ctx.spec().ns_per_work);
+            unit_calls(rec, arena, u);
+            rt.replay(recs.data(), recs.size());
+          }
+        });
+        rt.barrier();
+      });
+      logs[replay] = std::move(log.log);
+      for (int p = 0; p < 2; ++p) clocks[replay].push_back(ctx.clock_ns(p));
+    }
+    ASSERT_FALSE(logs[0].empty());
+    EXPECT_TRUE(logs[0] == logs[1]) << logs[0].size() << " direct / " << logs[1].size()
+                                    << " replayed charges";
+    EXPECT_EQ(clocks[0], clocks[1]);
+  }
+}
 
 /// The force phase with gather_walk called straight on SimProc: the inline
 /// loop, as perfbench's traced pass runs it.
@@ -279,7 +346,10 @@ struct Outcome {
   std::vector<std::uint64_t> interactions;
   std::vector<Vec3> acc;
   std::uint64_t handed = 0;  // chunks the sections replayed
-  std::string trace;         // Chrome JSON of an observed run
+  // The reports of an observed run: Chrome trace, sight and prof JSON.
+  std::string trace;
+  std::string sight;
+  std::string prof;
 };
 
 struct Snapshot {
@@ -302,11 +372,25 @@ void restore(AppState& st, const Snapshot& snap) {
   for (auto& pool : st.storage.per_proc) pool.reset();
 }
 
+/// What a run attaches: nothing; the charge log, the tracer and sight,
+/// which read a span as one charge; or those and the profiler, which decays
+/// spans to per-element charges.
+enum class Watch { kNone, kSpans, kPerElement };
+
 struct RunMode {
   bool direct = false;
-  bool observed = false;
+  Watch watch = Watch::kNone;
   SimBackend backend = SimBackend::kFibers;
 };
+
+/// The final tree's cells, as the harness resolves them for its reports.
+CellResolver cells_of(const AppState& st) {
+  CellResolver cells;
+  for (const auto& lst : st.tree.created)
+    for (const Node* nd : lst) cells.add(nd, sizeof(Node), nd->level, nd->octant);
+  cells.finalize();
+  return cells;
+}
 
 /// Runs two time-steps in each mode on one AppState (virtual results depend
 /// on the registered regions' addresses), restoring the inputs in between.
@@ -321,14 +405,17 @@ std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
   std::vector<Outcome> out;
   for (const RunMode& m : modes) {
     restore(st, snap);
+    const bool observed = m.watch != Watch::kNone;
     SimContext ctx(PlatformSpec::by_name(platform), nprocs, m.backend,
-                   /*race_detect=*/false, /*sight_observe=*/false);
+                   /*race_detect=*/false, /*sight_observe=*/observed);
     ForceChargeLog log;
     trace::Tracer tracer(nprocs, /*capacity_per_proc=*/0);
-    if (m.observed) {
+    prof::Recorder recorder;
+    if (observed) {
       ctx.add_observer(&log);
       ctx.set_tracer(&tracer);
     }
+    if (m.watch == Watch::kPerElement) ctx.set_profiler(&recorder);
     register_common_regions(ctx, st);
     builder.register_regions(ctx);
     builder.reset();
@@ -346,7 +433,13 @@ std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
     }
     for (const Body& b : st.bodies) o.acc.push_back(b.acc);
     o.handed = ctx.walk_ahead().handed();
-    if (m.observed) o.trace = tracer.chrome_json();
+    if (observed) {
+      const CellResolver cells = cells_of(st);
+      o.trace = tracer.chrome_json();
+      o.sight = sight::sight_json(ctx.sight_model()->build_report(cells));
+      if (m.watch == Watch::kPerElement)
+        o.prof = prof::profile_json(prof::build_profile(recorder.capture(), cells, {}));
+    }
     out.push_back(std::move(o));
   }
   return out;
@@ -403,33 +496,45 @@ class ForceReplayP : public ::testing::TestWithParam<ReplayCase> {};
 TEST_P(ForceReplayP, ReplayedChargesMatchTheDirectWalk) {
   const ReplayCase c = GetParam();
   const auto runs = run_algorithm(c.alg, c.platform, 512, c.nprocs,
-                                  {{/*direct=*/false, /*observed=*/true},
-                                   {/*direct=*/true, /*observed=*/true},
-                                   {/*direct=*/false, /*observed=*/false},
-                                   {/*direct=*/true, /*observed=*/false}});
-  // Observed: the replay issues each record as its own call, so the two
-  // charge streams must agree event for event.
-  const std::vector<Charge>& replayed = runs[0].log;
-  const std::vector<Charge>& direct = runs[1].log;
-  ASSERT_FALSE(direct.empty());
-  const auto diverge =
-      std::mismatch(replayed.begin(), replayed.end(), direct.begin(), direct.end());
-  EXPECT_TRUE(diverge.first == replayed.end() && diverge.second == direct.end())
-      << "charge streams diverge at event " << (diverge.first - replayed.begin()) << " of "
-      << replayed.size() << " replayed / " << direct.size() << " direct";
-  expect_same_state(runs[0], runs[1]);
-  // Both observed runs carry a tracer: the replay's force-gather and
-  // force-evaluate spans must serialize exactly as the inline loop's.
-  EXPECT_NE(runs[1].trace.find("\"force-evaluate\""), std::string::npos);
-  EXPECT_TRUE(runs[0].trace == runs[1].trace) << "replayed and direct traces differ";
-  // Unobserved: the batched replay must land on the same state.
-  expect_same_state(runs[2], runs[3]);
-  expect_same_state(runs[2], runs[0]);
-  // Both replay routes must have run for the comparisons above to test
-  // them: each of the two force phases replays at least its first chunk,
+                                  {{/*direct=*/false, Watch::kSpans},
+                                   {/*direct=*/true, Watch::kSpans},
+                                   {/*direct=*/false, Watch::kPerElement},
+                                   {/*direct=*/true, Watch::kPerElement},
+                                   {/*direct=*/false, Watch::kNone},
+                                   {/*direct=*/true, Watch::kNone}});
+  // Observed: each replayed unit reaches the observers in one call, the
+  // direct walk's charges one by one. The charge log's stream (the base
+  // expansion) must agree event for event, and the reports of the tracer,
+  // sight and the profiler (their own overrides) byte for byte; the trace
+  // also pins where sight's class changes fall among the memory instants.
+  for (std::size_t i : {0u, 2u}) {
+    SCOPED_TRACE(runs[i].prof.empty() ? "spans kept" : "spans decayed");
+    const Outcome& replayed = runs[i];
+    const Outcome& direct = runs[i + 1];
+    ASSERT_FALSE(direct.log.empty());
+    const auto diverge = std::mismatch(replayed.log.begin(), replayed.log.end(),
+                                       direct.log.begin(), direct.log.end());
+    EXPECT_TRUE(diverge.first == replayed.log.end() && diverge.second == direct.log.end())
+        << "charge streams diverge at event " << (diverge.first - replayed.log.begin())
+        << " of " << replayed.log.size() << " replayed / " << direct.log.size() << " direct";
+    expect_same_state(replayed, direct);
+    // The replay's force-gather and force-evaluate spans must serialize
+    // exactly as the inline loop's.
+    EXPECT_NE(direct.trace.find("\"force-evaluate\""), std::string::npos);
+    EXPECT_TRUE(replayed.trace == direct.trace) << "replayed and direct traces differ";
+    EXPECT_TRUE(replayed.sight == direct.sight) << "replayed and direct sight reports differ";
+    EXPECT_TRUE(replayed.prof == direct.prof) << "replayed and direct profiles differ";
+    EXPECT_GE(replayed.handed, 2u) << "too few chunks replayed with observers attached";
+  }
+  EXPECT_FALSE(runs[2].prof.empty());
+  // Unobserved: the flattened replay must land on the same state.
+  expect_same_state(runs[4], runs[5]);
+  expect_same_state(runs[4], runs[0]);
+  expect_same_state(runs[4], runs[2]);
+  // Every replay route must have run for the comparisons above to test it:
+  // each of the two force phases replays at least its first chunk,
   // whichever others the helper wins.
-  EXPECT_GE(runs[0].handed, 2u) << "too few chunks replayed with an observer attached";
-  EXPECT_GE(runs[2].handed, 2u) << "too few chunks replayed by the batched route";
+  EXPECT_GE(runs[4].handed, 2u) << "too few chunks replayed by the flattened route";
 }
 
 std::vector<ReplayCase> replay_cases() {
