@@ -9,6 +9,7 @@
 // waterfall the ledger exists for.
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "anatomy/sweep.hpp"
@@ -18,29 +19,8 @@
 #include "support/provenance.hpp"
 #include "support/table.hpp"
 
-namespace {
-
 using namespace ptb;
 using namespace ptb::bench;
-
-bool same_virtual_results(const RunResult& a, const RunResult& b) {
-  if (a.total_ns != b.total_ns) return false;
-  if (a.proc_stats.size() != b.proc_stats.size()) return false;
-  for (std::size_t p = 0; p < a.proc_stats.size(); ++p) {
-    const ProcStats& x = a.proc_stats[p];
-    const ProcStats& y = b.proc_stats[p];
-    for (int ph = 0; ph < kNumPhases; ++ph) {
-      if (x.phase_ns[ph] != y.phase_ns[ph]) return false;
-      if (x.mem_stall_ns[ph] != y.mem_stall_ns[ph]) return false;
-      if (x.lock_wait_phase_ns[ph] != y.lock_wait_phase_ns[ph]) return false;
-      if (x.barrier_wait_phase_ns[ph] != y.barrier_wait_phase_ns[ph]) return false;
-      if (x.lock_acquires[ph] != y.lock_acquires[ph]) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
@@ -59,7 +39,7 @@ int main(int argc, char** argv) {
   json.context("git_sha", support::git_sha()).context("build_type", support::build_type());
 
   ExperimentRunner runner;
-  bool identical = true;
+  std::string diverged;  // the first difference found, "" while identical
   Table t("ledgered runs (anatomy on; identity checked against anatomy off)");
   t.set_header({"algorithm", "virtual total", "busy share", "loss attributed",
                 "runs/s (host)", "identical"});
@@ -83,8 +63,9 @@ int main(int argc, char** argv) {
       const double s = wall.seconds();
       if (rep == 0 || s < best_s) best_s = s;
     }
-    const bool same = same_virtual_results(off.run, on.run);
-    identical = identical && same;
+    const std::string diff = first_difference(off.run, on.run);
+    const bool same = diff.empty();
+    if (diverged.empty() && !same) diverged = algorithm_name(alg) + (": " + diff);
 
     // The waterfall against a p=1 reference: its category deltas must
     // attribute the whole loss (asserted inside build_waterfall).
@@ -117,6 +98,7 @@ int main(int argc, char** argv) {
   }
   t.print();
 
+  const bool identical = diverged.empty();
   std::printf("\nanatomy on vs off: virtual results %s\n",
               identical ? "identical" : "DIVERGED");
   json.row()
@@ -126,7 +108,8 @@ int main(int argc, char** argv) {
   json.save();
 
   if (!identical) {
-    std::fprintf(stderr, "FAIL: the anatomy ledger perturbed virtual results\n");
+    std::fprintf(stderr, "FAIL: the anatomy ledger perturbed virtual results (%s)\n",
+                 diverged.c_str());
     return 1;
   }
   return 0;

@@ -31,52 +31,6 @@ namespace {
 using namespace ptb;
 using namespace ptb::bench;
 
-bool same_virtual_results(const RunResult& a, const RunResult& b) {
-  if (a.total_ns != b.total_ns) return false;
-  if (a.proc_stats.size() != b.proc_stats.size()) return false;
-  for (std::size_t p = 0; p < a.proc_stats.size(); ++p) {
-    const ProcStats& x = a.proc_stats[p];
-    const ProcStats& y = b.proc_stats[p];
-    for (int ph = 0; ph < kNumPhases; ++ph) {
-      if (x.phase_ns[ph] != y.phase_ns[ph]) return false;
-      if (x.mem_stall_ns[ph] != y.mem_stall_ns[ph]) return false;
-      if (x.lock_wait_phase_ns[ph] != y.lock_wait_phase_ns[ph]) return false;
-      if (x.barrier_wait_phase_ns[ph] != y.barrier_wait_phase_ns[ph]) return false;
-      if (x.lock_acquires[ph] != y.lock_acquires[ph]) return false;
-    }
-  }
-  return true;
-}
-
-// Virtual times are a function of region addresses, so the backend-identity
-// runs share one AppState (same discipline as test_sim_backend_equiv.cpp).
-struct StateSnapshot {
-  Bodies bodies;
-  std::vector<AlignedVec<std::int32_t>> partition;
-  std::vector<std::int32_t> body_slot;
-};
-
-StateSnapshot take_snapshot(const AppState& st) {
-  return StateSnapshot{st.bodies, st.partition, st.body_slot};
-}
-
-void restore_snapshot(AppState& st, const StateSnapshot& snap) {
-  std::copy(snap.bodies.begin(), snap.bodies.end(), st.bodies.begin());
-  for (std::size_t p = 0; p < st.partition.size(); ++p)
-    st.partition[p].assign(snap.partition[p].begin(), snap.partition[p].end());
-  std::copy(snap.body_slot.begin(), snap.body_slot.end(), st.body_slot.begin());
-  st.tree.root = nullptr;
-  for (auto& c : st.tree.created) c.clear();
-  for (int i = 0; i < st.tree.nbodies; ++i)
-    st.tree.body_leaf[static_cast<std::size_t>(i)].store(nullptr, std::memory_order_relaxed);
-  std::fill(st.tree.reduce.begin(), st.tree.reduce.end(), ReduceSlot{});
-  std::fill(st.interactions.begin(), st.interactions.end(), 0);
-  std::fill(st.interactions_cell.begin(), st.interactions_cell.end(), 0);
-  std::fill(st.interactions_body.begin(), st.interactions_body.end(), 0);
-  st.storage.global.reset();
-  for (auto& pool : st.storage.per_proc) pool.reset();
-}
-
 void print_waterfall_line(const char* tag, const anatomy::Waterfall& wf) {
   std::printf("  %-28s loss %8.1f us:", tag, wf.loss_ns * 1e-3);
   for (int c = 0; c < anatomy::kNumCategories; ++c)
@@ -177,23 +131,23 @@ int main(int argc, char** argv) {
   }
 
   // --- Part 3: backend identity + honest host time --------------------------
-  // RADIX on the two eras' flagship machines across both backends. Any
-  // divergence fails the bench (and the regression gate reads the row).
-  bool identical = true;
+  // RADIX on the two eras' flagship machines across both backends. Each run
+  // builds its own state: virtual results may not depend on host addresses
+  // (DESIGN.md decision 6). Any divergence fails the bench (and the
+  // regression gate reads the row).
+  std::string diverged;  // the first difference found, "" while identical
   std::printf("\nbackend identity + host wall time (RADIX, %d reps best):\n", reps);
   for (const char* plat : {"challenge", "numa2020"}) {
     BHConfig bh;
     bh.n = n;
-    AppState st = make_app_state(bh, np);
-    const StateSnapshot snap = take_snapshot(st);
-    RadixBuilder builder(st);
     const RunConfig rc{/*warmup_steps=*/0, /*measured_steps=*/1};
     RunResult ref_run;
     for (const SimBackend backend : kSimBackends) {
       double best_s = 0.0;
       RunResult run;
       for (int rep = 0; rep < reps; ++rep) {
-        restore_snapshot(st, snap);
+        AppState st = make_app_state(bh, np);
+        RadixBuilder builder(st);
         SimContext ctx(PlatformSpec::by_name(plat), np, backend);
         if (backend == SimBackend::kParallel && workers > 0) ctx.set_workers(workers);
         WallTimer wall;
@@ -203,8 +157,8 @@ int main(int argc, char** argv) {
       }
       if (backend == SimBackend::kFibers)
         ref_run = run;
-      else
-        identical = identical && same_virtual_results(ref_run, run);
+      else if (diverged.empty() && ref_run != run)
+        diverged = plat + (": " + first_difference(ref_run, run));
       std::printf("  %-10s %-8s %8.4f s host\n", plat, to_string(backend), best_s);
       json.row()
           .field("bench", std::string("radix_host"))
@@ -217,6 +171,7 @@ int main(int argc, char** argv) {
           .field("host_seconds", best_s);
     }
   }
+  const bool identical = diverged.empty();
   std::printf("virtual_results_identical: %s\n", identical ? "yes" : "no");
   json.row()
       .field("bench", std::string("radix_summary"))
@@ -225,7 +180,8 @@ int main(int argc, char** argv) {
   json.save();
 
   if (!identical) {
-    std::fprintf(stderr, "FAIL: RADIX virtual results diverged across backends\n");
+    std::fprintf(stderr, "FAIL: RADIX virtual results diverged across backends (%s)\n",
+                 diverged.c_str());
     return 1;
   }
   return 0;

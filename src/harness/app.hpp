@@ -1,5 +1,6 @@
-// The application driver: runs the full Barnes–Hut timestep pipeline on any
-// runtime (NativeContext / SimContext) with any tree builder.
+// The application driver: runs the full Barnes–Hut timestep pipeline on the
+// simulator with any tree builder, and collects the run's whole virtual
+// outcome (RunResult).
 //
 // Per the paper's methodology, timing begins after `warmup_steps` time-steps
 // ("to eliminate unrepresentative cold-start and let the partitioning scheme
@@ -8,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,8 +18,10 @@
 #include "harness/orb.hpp"
 #include "harness/phases.hpp"
 #include "harness/state.hpp"
+#include "mem/model.hpp"
 #include "mem/region_table.hpp"
 #include "rt/phase.hpp"
+#include "sim/sim_rt.hpp"
 #include "treebuild/builder_common.hpp"
 
 namespace ptb {
@@ -27,6 +31,10 @@ struct RunConfig {
   int measured_steps = 2;
 };
 
+/// The whole virtual outcome of a simulated run: every number the simulation
+/// itself produces (observers' reports aside). Two runs are bit-identical
+/// exactly when their RunResults compare equal; first_difference below is
+/// that one definition.
 struct RunResult {
   /// Per-phase time (ns) of the measured steps: max over processors (phases
   /// are barrier-aligned, so this is the phase's wall/virtual duration).
@@ -35,12 +43,32 @@ struct RunResult {
   double total_ns = 0.0;
   /// Per-processor runtime statistics (locks, barrier waits, ...).
   std::vector<ProcStats> proc_stats;
+  /// Per processor: the final virtual clock, the protocol counters, and the
+  /// last force phase's interaction counts split by partner kind.
+  std::vector<std::uint64_t> clock_ns;
+  std::vector<MemProcStats> mem;
+  std::vector<std::uint64_t> interactions_cell;
+  std::vector<std::uint64_t> interactions_body;
+  /// A hash of every body's final position, velocity and acceleration bits.
+  std::uint64_t bodies_hash = 0;
 
   double treebuild_fraction() const {
     return total_ns > 0.0 ? phase_ns[static_cast<int>(Phase::kTreeBuild)] / total_ns : 0.0;
   }
   double phase(Phase p) const { return phase_ns[static_cast<int>(p)]; }
 };
+
+/// The RunResult of a finished simulation over `st`: O(n + p) work.
+RunResult collect_run_result(const SimContext& ctx, const AppState& st);
+
+/// Names the first field in which `a` and `b` differ, with both values
+/// ("proc 3 clock_ns: 1200 vs 1201"), or returns "" when the runs are
+/// bit-identical.
+std::string first_difference(const RunResult& a, const RunResult& b);
+
+inline bool operator==(const RunResult& a, const RunResult& b) {
+  return first_difference(a, b).empty();
+}
 
 /// The "best sequential version" tree build: straight private insertion with
 /// none of the parallel machinery (baseline for all speedups, paper Table 1).
@@ -133,28 +161,20 @@ void timestep(RT& rt, AppState& st, Builder& builder, bool measured) {
   rt.begin_phase(Phase::kOther);
 }
 
-/// Runs the whole simulation and collects per-phase timing.
-template <class Ctx, class Builder>
-RunResult run_simulation(Ctx& ctx, AppState& st, Builder& builder, const RunConfig& rc) {
+/// Runs the whole simulation and collects its outcome.
+template <class Builder>
+RunResult run_simulation(SimContext& ctx, AppState& st, Builder& builder,
+                         const RunConfig& rc) {
   register_common_regions(ctx, st);
   builder.register_regions(ctx);
   builder.reset();
   ctx.reset_stats();
 
   const int steps = rc.warmup_steps + rc.measured_steps;
-  ctx.run([&](typename Ctx::Proc& rt) {
+  ctx.run([&](SimProc& rt) {
     for (int s = 0; s < steps; ++s) timestep(rt, st, builder, s >= rc.warmup_steps);
   });
-
-  RunResult res;
-  res.proc_stats = ctx.stats();
-  for (int ph = 0; ph < kNumPhases; ++ph) {
-    double mx = 0.0;
-    for (const auto& ps : res.proc_stats) mx = std::max(mx, ps.phase_ns[ph]);
-    res.phase_ns[static_cast<std::size_t>(ph)] = mx;
-    if (ph != static_cast<int>(Phase::kOther)) res.total_ns += mx;
-  }
-  return res;
+  return collect_run_result(ctx, st);
 }
 
 /// Convenience: a fully initialized AppState over a Plummer galaxy.

@@ -245,6 +245,7 @@ class SimContext {
   SimBackend backend() const { return backend_; }
   const PlatformSpec& spec() const { return spec_; }
   MemModel& mem() { return *mem_; }
+  const MemModel& mem() const { return *mem_; }
 
   /// Host worker threads for the kParallel backend (ignored by kFibers).
   /// Clamped to [1, nprocs] at run time. Call before run().

@@ -8,8 +8,6 @@
 #include <optional>
 #include <string_view>
 
-#include "support/check.hpp"
-
 namespace ptb {
 
 Cli::Cli(int argc, char** argv) : program_(argc > 0 ? argv[0] : "ptb") {
@@ -19,7 +17,10 @@ Cli::Cli(int argc, char** argv) : program_(argc > 0 ? argv[0] : "ptb") {
       want_help_ = true;
       continue;
     }
-    PTB_CHECK_MSG(arg.rfind("--", 0) == 0, "flags must start with --");
+    if (arg.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "unexpected argument: '%s' (flags start with --)\n", arg.c_str());
+      std::exit(2);
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {

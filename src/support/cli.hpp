@@ -1,8 +1,8 @@
 // Minimal command-line flag parser shared by benches and examples.
 //
 // Supports --flag=value, --flag value, and boolean --flag forms. Unknown
-// flags and malformed values are errors (exit 2) so that typos in experiment
-// scripts fail loudly.
+// flags, positional arguments and malformed values are errors (exit 2) so
+// that typos in experiment scripts fail loudly.
 #pragma once
 
 #include <cstdint>

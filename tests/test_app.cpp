@@ -2,6 +2,11 @@
 // warm-up exclusion, cross-platform cost ordering sanity.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "harness/app.hpp"
 #include "sim/sim_rt.hpp"
 #include "treebuild/local.hpp"
@@ -75,10 +80,41 @@ TEST(App, BarrierWaitTracked) {
 TEST(App, DeterministicEndToEnd) {
   const RunResult a = run_app<OrigBuilder>("typhoon0_hlrc", 1200, 4);
   const RunResult b = run_app<OrigBuilder>("typhoon0_hlrc", 1200, 4);
-  EXPECT_DOUBLE_EQ(a.total_ns, b.total_ns);
-  for (int ph = 0; ph < kNumPhases; ++ph)
-    EXPECT_DOUBLE_EQ(a.phase_ns[static_cast<std::size_t>(ph)],
-                     b.phase_ns[static_cast<std::size_t>(ph)]);
+  EXPECT_EQ(first_difference(a, b), "");
+}
+
+// first_difference is the one definition of a bit-identical run: the
+// smallest change to any part of the outcome must be named, and two fresh
+// runs of one configuration must compare equal.
+TEST(RunResultDiff, NamesTheSmallestChangeToEachPart) {
+  BHConfig cfg;
+  cfg.n = 1200;
+  AppState st = make_app_state(cfg, 4);
+  SimContext ctx(PlatformSpec::typhoon0_hlrc(), 4);
+  SpaceBuilder builder(st);
+  const RunResult run = run_simulation(ctx, st, builder, RunConfig{1, 1});
+  EXPECT_EQ(first_difference(run, run_app<SpaceBuilder>("typhoon0_hlrc", 1200, 4)), "");
+  const auto names = [&run](const std::string& want, auto&& change) {
+    RunResult changed = run;
+    change(changed);
+    EXPECT_EQ(first_difference(run, changed), want);
+    EXPECT_FALSE(run == changed);
+  };
+  const auto plus_one = [](std::uint64_t x) {
+    return std::to_string(x) + " vs " + std::to_string(x + 1);
+  };
+  names("proc 1 clock_ns: " + plus_one(run.clock_ns[1]),
+        [](RunResult& r) { ++r.clock_ns[1]; });
+  names("proc 2 mem[page_faults]: " + plus_one(run.mem[2].page_faults),
+        [](RunResult& r) { ++r.mem[2].page_faults; });
+  names("proc 3 interactions_cell: " + plus_one(run.interactions_cell[3]),
+        [](RunResult& r) { ++r.interactions_cell[3]; });
+  // One ulp on one body's acceleration reaches the outcome through the
+  // bodies hash.
+  double& ax = st.bodies[7].acc.x;
+  ax = std::nextafter(ax, std::numeric_limits<double>::infinity());
+  const std::string diff = first_difference(run, collect_run_result(ctx, st));
+  EXPECT_EQ(diff.rfind("bodies_hash: ", 0), 0u) << diff;
 }
 
 }  // namespace

@@ -3,154 +3,49 @@
 // change: with PTB_MEM_SLOWPATH=1 the simulator falls back to the reference
 // per-access path — virtual dispatch through the MemModel base, no
 // lookasides, spans decayed to per-element calls — and the two must agree
-// bit-for-bit on every virtual time and every memory-event counter for every
-// algorithm on every platform. That oracle is what licenses the fast path.
-//
-// As in test_sim_backend_equiv.cpp, virtual times are a function of the
-// actual addresses of the registered regions, so both runs share one
-// AppState with a snapshot/restore between them.
+// bit-for-bit on the whole RunResult (every virtual time and every
+// memory-event counter) for every algorithm on every platform. That oracle
+// is what licenses the fast path. Both paths run over one AppState
+// (tests/rerun.hpp).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
+#include "harness/app.hpp"
 #include "mem/model.hpp"
 #include "prof/profile.hpp"
+#include "rerun.hpp"
 #include "sim/sim_rt.hpp"
 #include "support/aligned.hpp"
-#include "treebuild/local.hpp"
-#include "treebuild/orig.hpp"
-#include "treebuild/partree.hpp"
-#include "treebuild/radix.hpp"
-#include "treebuild/space.hpp"
-#include "treebuild/update.hpp"
 
 namespace ptb {
 namespace {
 
-/// Scoped PTB_MEM_SLOWPATH toggle: models sample the flag at construction,
-/// so flipping it between SimContext constructions selects the path.
-struct ScopedSlowpath {
-  explicit ScopedSlowpath(bool on) {
-    if (on)
-      ::setenv("PTB_MEM_SLOWPATH", "1", 1);
-    else
-      ::unsetenv("PTB_MEM_SLOWPATH");
-  }
-  ~ScopedSlowpath() { ::unsetenv("PTB_MEM_SLOWPATH"); }
-};
-
-struct PathRun {
-  RunResult run;
-  std::vector<std::uint64_t> clocks;
-  std::vector<MemProcStats> mem;
-};
-
-struct StateSnapshot {
-  Bodies bodies;
-  std::vector<AlignedVec<std::int32_t>> partition;
-  std::vector<std::int32_t> body_slot;
-};
-
-StateSnapshot take_snapshot(const AppState& st) {
-  return StateSnapshot{st.bodies, st.partition, st.body_slot};
-}
-
-void restore_snapshot(AppState& st, const StateSnapshot& snap) {
-  std::copy(snap.bodies.begin(), snap.bodies.end(), st.bodies.begin());
-  for (std::size_t p = 0; p < st.partition.size(); ++p)
-    st.partition[p].assign(snap.partition[p].begin(), snap.partition[p].end());
-  std::copy(snap.body_slot.begin(), snap.body_slot.end(), st.body_slot.begin());
-  st.tree.root = nullptr;
-  for (auto& c : st.tree.created) c.clear();
-  for (int i = 0; i < st.tree.nbodies; ++i)
-    st.tree.body_leaf[static_cast<std::size_t>(i)].store(nullptr, std::memory_order_relaxed);
-  std::fill(st.tree.reduce.begin(), st.tree.reduce.end(), ReduceSlot{});
-  std::fill(st.interactions.begin(), st.interactions.end(), 0);
-  std::fill(st.interactions_cell.begin(), st.interactions_cell.end(), 0);
-  std::fill(st.interactions_body.begin(), st.interactions_body.end(), 0);
-  st.storage.global.reset();
-  for (auto& pool : st.storage.per_proc) pool.reset();
-}
+constexpr int kBodies = 2048;
+constexpr int kProcs = 8;
 
 struct RunOpts {
   bool race = false;
   bool prof = false;
 };
 
-template <class Builder>
-std::vector<PathRun> run_paths(const std::string& platform, int n, int nprocs,
-                               const RunOpts& opts) {
-  BHConfig bh;
-  bh.n = n;
-  AppState st = make_app_state(bh, nprocs);
-  const StateSnapshot snap = take_snapshot(st);
-  Builder builder(st);
+/// The fast path's run and the slow path's, in that order. Models sample
+/// PTB_MEM_SLOWPATH at construction, so the flag selects each context's path.
+std::vector<RunResult> run_paths(Algorithm alg, const std::string& platform,
+                                 const RunOpts& opts = {}) {
   const RunConfig rc{/*warmup_steps=*/0, /*measured_steps=*/1};
-  std::vector<PathRun> out;
-  for (bool slow : {false, true}) {
-    ScopedSlowpath env(slow);
-    restore_snapshot(st, snap);
-    SimContext ctx(PlatformSpec::by_name(platform), nprocs, default_sim_backend(),
+  const auto run = [&](std::size_t slow, AppState& st, auto& builder) {
+    const ScopedEnvFlag env("PTB_MEM_SLOWPATH", slow == 1);
+    SimContext ctx(PlatformSpec::by_name(platform), kProcs, default_sim_backend(),
                    /*race_detect=*/opts.race);
     prof::Recorder rec;
     if (opts.prof) ctx.set_profiler(&rec);
-    PathRun r;
-    r.run = run_simulation(ctx, st, builder, rc);
-    for (int p = 0; p < nprocs; ++p) {
-      r.clocks.push_back(ctx.clock_ns(p));
-      r.mem.push_back(ctx.mem().proc_stats(p));
-    }
-    out.push_back(std::move(r));
-  }
-  return out;
+    return run_simulation(ctx, st, builder, rc);
+  };
+  return rerun(alg, kBodies, kProcs, 2, run);
 }
-
-std::vector<PathRun> run_algorithm(Algorithm alg, const std::string& platform, int n,
-                                   int nprocs, const RunOpts& opts = {}) {
-  switch (alg) {
-    case Algorithm::kOrig:
-      return run_paths<OrigBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kLocal:
-      return run_paths<LocalBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kUpdate:
-      return run_paths<UpdateBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kPartree:
-      return run_paths<PartreeBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kSpace:
-      return run_paths<SpaceBuilder>(platform, n, nprocs, opts);
-    case Algorithm::kRadix:
-      return run_paths<RadixBuilder>(platform, n, nprocs, opts);
-  }
-  PTB_CHECK_MSG(false, "unhandled algorithm");
-  return {};
-}
-
-void expect_identical(const PathRun& fast, const PathRun& slow) {
-  EXPECT_EQ(fast.clocks, slow.clocks);
-  EXPECT_EQ(fast.run.total_ns, slow.run.total_ns);
-  ASSERT_EQ(fast.mem.size(), slow.mem.size());
-  for (std::size_t p = 0; p < fast.mem.size(); ++p) {
-    SCOPED_TRACE("proc " + std::to_string(p));
-    for (const MemCounterDesc& c : kMemCounters) {
-      SCOPED_TRACE(c.metric);
-      EXPECT_EQ(fast.mem[p].*(c.field), slow.mem[p].*(c.field));
-    }
-  }
-  ASSERT_EQ(fast.run.proc_stats.size(), slow.run.proc_stats.size());
-  for (std::size_t p = 0; p < fast.run.proc_stats.size(); ++p) {
-    SCOPED_TRACE("proc " + std::to_string(p));
-    EXPECT_EQ(fast.run.proc_stats[p].phase_ns, slow.run.proc_stats[p].phase_ns);
-    EXPECT_EQ(fast.run.proc_stats[p].lock_acquires, slow.run.proc_stats[p].lock_acquires);
-  }
-}
-
-constexpr int kBodies = 2048;
-constexpr int kProcs = 8;
 
 struct EquivCase {
   Algorithm alg;
@@ -161,8 +56,8 @@ class MemPathEquivP : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(MemPathEquivP, FastAndSlowPathsBitIdentical) {
   const EquivCase c = GetParam();
-  const auto runs = run_algorithm(c.alg, c.platform, kBodies, kProcs);
-  expect_identical(runs[0], runs[1]);
+  const auto runs = run_paths(c.alg, c.platform);
+  EXPECT_EQ(first_difference(runs[0], runs[1]), "");
 }
 
 std::vector<EquivCase> all_cases() {
@@ -189,15 +84,15 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithmsAllPlatforms, MemPathEquivP,
 TEST(MemPathEquiv, IdenticalUnderRaceDetector) {
   RunOpts opts;
   opts.race = true;
-  const auto runs = run_algorithm(Algorithm::kSpace, "challenge", kBodies, kProcs, opts);
-  expect_identical(runs[0], runs[1]);
+  const auto runs = run_paths(Algorithm::kSpace, "challenge", opts);
+  EXPECT_EQ(first_difference(runs[0], runs[1]), "");
 }
 
 TEST(MemPathEquiv, IdenticalUnderProfiler) {
   RunOpts opts;
   opts.prof = true;
-  const auto runs = run_algorithm(Algorithm::kPartree, "typhoon0_hlrc", kBodies, kProcs, opts);
-  expect_identical(runs[0], runs[1]);
+  const auto runs = run_paths(Algorithm::kPartree, "typhoon0_hlrc", opts);
+  EXPECT_EQ(first_difference(runs[0], runs[1]), "");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "anatomy/anatomy.hpp"
+#include "harness/app.hpp"
 #include "prof/prof.hpp"
 #include "race/race.hpp"
 #include "sight/sight.hpp"
@@ -155,9 +156,9 @@ TEST(SimRt, ReadSharedAccumulatesIntoPending) {
 }
 
 TEST(SimRt, DeterministicAcrossRuns) {
-  // A contended mixed workload must produce bit-identical virtual clocks on
+  // A contended mixed workload must produce a bit-identical outcome on
   // repeated runs.
-  auto run_once = [](std::vector<std::uint64_t>& clocks, std::uint64_t& locks) {
+  auto run_once = [] {
     PlatformSpec spec = PlatformSpec::origin2000();
     SimContext ctx(spec, 8);
     static char buf[1 << 16];
@@ -177,20 +178,14 @@ TEST(SimRt, DeterministicAcrossRuns) {
       }
       rt.barrier();
     });
-    clocks.clear();
-    locks = 0;
-    for (int p = 0; p < 8; ++p) {
-      clocks.push_back(ctx.clock_ns(p));
-      for (auto l : ctx.stats()[static_cast<std::size_t>(p)].lock_acquires) locks += l;
-    }
+    return collect_run_result(ctx, AppState{});  // no bodies: a bare program
   };
-  std::vector<std::uint64_t> c1, c2;
-  std::uint64_t l1 = 0, l2 = 0;
-  run_once(c1, l1);
-  run_once(c2, l2);
-  EXPECT_EQ(c1, c2);
-  EXPECT_EQ(l1, l2);
-  EXPECT_GT(l1, 0u);
+  const RunResult a = run_once();
+  EXPECT_EQ(first_difference(a, run_once()), "");
+  std::uint64_t locks = 0;
+  for (const ProcStats& ps : a.proc_stats)
+    for (std::uint64_t l : ps.lock_acquires) locks += l;
+  EXPECT_GT(locks, 0u);
 }
 
 TEST(SimRt, ElapsedIsMaxClock) {

@@ -330,6 +330,16 @@ TEST(CliDeathTest, OutOfRangeCountsExitTwo) {
               "bad --procs: '0,8' \\(every entry must be >= 1\\)");
 }
 
+// Every argument is a flag or a flag's value: anything else (a positional
+// argument, a single-dash flag) is a usage error, not a crash.
+TEST(CliDeathTest, PositionalArgumentsExitTwo) {
+  const auto none = [](Cli&) {};
+  EXPECT_EXIT(parse("foo", none), testing::ExitedWithCode(2),
+              "unexpected argument: 'foo' \\(flags start with --\\)");
+  EXPECT_EXIT(parse("-n", none), testing::ExitedWithCode(2),
+              "unexpected argument: '-n' \\(flags start with --\\)");
+}
+
 // A double below its bound, NaN or an infinity exits 2: θ = -1 would run as
 // θ = 1 (only θ² is used), NaN as direct summation and ∞ as the root alone.
 TEST(CliDeathTest, NegativeOrNonFiniteDoublesExitTwo) {

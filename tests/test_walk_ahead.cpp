@@ -16,8 +16,8 @@
 //    event for event, and the two runs' trace, sight and prof reports equal
 //    byte for byte, with spans kept and with spans decayed per element.
 //    Without observers the replay takes its flattened route, which must
-//    leave every clock, counter and acceleration where the direct walk
-//    leaves them, on both backends.
+//    leave the whole RunResult where the direct walk leaves it, on both
+//    backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,21 +28,15 @@
 #include <vector>
 
 #include "harness/app.hpp"
-#include "harness/experiment.hpp"
 #include "mem/model.hpp"
 #include "prof/prof.hpp"
 #include "prof/profile.hpp"
+#include "rerun.hpp"
 #include "sight/sight.hpp"
 #include "sim/sim_rt.hpp"
 #include "sim/walk_ahead.hpp"
 #include "support/cell_resolver.hpp"
 #include "trace/trace.hpp"
-#include "treebuild/local.hpp"
-#include "treebuild/orig.hpp"
-#include "treebuild/partree.hpp"
-#include "treebuild/radix.hpp"
-#include "treebuild/space.hpp"
-#include "treebuild/update.hpp"
 
 namespace ptb {
 namespace {
@@ -215,12 +209,6 @@ struct Charge {
   bool operator==(const Charge&) const = default;
 };
 
-bool operator==(const MemProcStats& a, const MemProcStats& b) {
-  for (const MemCounterDesc& c : kMemCounters)
-    if (a.*c.field != b.*c.field) return false;
-  return true;
-}
-
 /// Records every charge a processor takes while in the force phase. It
 /// implements on_charge alone, so replayed units reach it through
 /// SimObserver's base expansion.
@@ -270,7 +258,7 @@ TEST(ForceReplay, ReplayedUnitsMatchTheirCallsWithSpansKeptAndDecayed) {
   for (UnorderedUse use : {UnorderedUse::kSpans, UnorderedUse::kPerElement}) {
     SCOPED_TRACE(use == UnorderedUse::kSpans ? "spans kept" : "spans decayed");
     std::vector<Charge> logs[2];
-    std::vector<std::uint64_t> clocks[2];
+    RunResult runs[2];
     for (int replay = 0; replay < 2; ++replay) {
       SimContext ctx(PlatformSpec::challenge(), 2, SimBackend::kFibers,
                      /*race_detect=*/false, /*sight_observe=*/false);
@@ -294,12 +282,12 @@ TEST(ForceReplay, ReplayedUnitsMatchTheirCallsWithSpansKeptAndDecayed) {
         rt.barrier();
       });
       logs[replay] = std::move(log.log);
-      for (int p = 0; p < 2; ++p) clocks[replay].push_back(ctx.clock_ns(p));
+      runs[replay] = collect_run_result(ctx, AppState{});  // no bodies: a bare program
     }
     ASSERT_FALSE(logs[0].empty());
     EXPECT_TRUE(logs[0] == logs[1]) << logs[0].size() << " direct / " << logs[1].size()
                                     << " replayed charges";
-    EXPECT_EQ(clocks[0], clocks[1]);
+    EXPECT_EQ(first_difference(runs[0], runs[1]), "");
   }
 }
 
@@ -338,39 +326,15 @@ void step(SimProc& rt, AppState& st, Builder& builder, bool direct) {
   rt.begin_phase(Phase::kOther);
 }
 
-struct Outcome {
+/// What a run's observers recorded: the charge log, the chunks the sections
+/// replayed, and an observed run's Chrome trace, sight and prof JSON.
+struct Observed {
   std::vector<Charge> log;
-  std::vector<std::uint64_t> clocks;
-  std::vector<MemProcStats> mem;
-  std::vector<ProcStats> stats;
-  std::vector<std::uint64_t> interactions;
-  std::vector<Vec3> acc;
-  std::uint64_t handed = 0;  // chunks the sections replayed
-  // The reports of an observed run: Chrome trace, sight and prof JSON.
+  std::uint64_t handed = 0;
   std::string trace;
   std::string sight;
   std::string prof;
 };
-
-struct Snapshot {
-  Bodies bodies;
-  std::vector<AlignedVec<std::int32_t>> partition;
-  std::vector<std::int32_t> body_slot;
-};
-
-void restore(AppState& st, const Snapshot& snap) {
-  std::copy(snap.bodies.begin(), snap.bodies.end(), st.bodies.begin());
-  for (std::size_t p = 0; p < st.partition.size(); ++p)
-    st.partition[p].assign(snap.partition[p].begin(), snap.partition[p].end());
-  std::copy(snap.body_slot.begin(), snap.body_slot.end(), st.body_slot.begin());
-  st.tree.root = nullptr;
-  for (auto& c : st.tree.created) c.clear();
-  for (int i = 0; i < st.tree.nbodies; ++i)
-    st.tree.body_leaf[static_cast<std::size_t>(i)].store(nullptr, std::memory_order_relaxed);
-  std::fill(st.tree.reduce.begin(), st.tree.reduce.end(), ReduceSlot{});
-  st.storage.global.reset();
-  for (auto& pool : st.storage.per_proc) pool.reset();
-}
 
 /// What a run attaches: nothing; the charge log, the tracer and sight,
 /// which read a span as one charge; or those and the profiler, which decays
@@ -392,19 +356,13 @@ CellResolver cells_of(const AppState& st) {
   return cells;
 }
 
-/// Runs two time-steps in each mode on one AppState (virtual results depend
-/// on the registered regions' addresses), restoring the inputs in between.
-template <class Builder>
-std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
-                               const std::vector<RunMode>& modes) {
-  BHConfig bh;
-  bh.n = n;
-  AppState st = make_app_state(bh, nprocs);
-  const Snapshot snap{st.bodies, st.partition, st.body_slot};
-  Builder builder(st);
-  std::vector<Outcome> out;
-  for (const RunMode& m : modes) {
-    restore(st, snap);
+/// Runs two time-steps in each mode over one AppState (tests/rerun.hpp),
+/// appending what each run's observers recorded to `seen`.
+std::vector<RunResult> run_modes(Algorithm alg, const std::string& platform, int n,
+                                 int nprocs, const std::vector<RunMode>& modes,
+                                 std::vector<Observed>& seen) {
+  const auto run = [&](std::size_t i, AppState& st, auto& builder) {
+    const RunMode& m = modes[i];
     const bool observed = m.watch != Watch::kNone;
     SimContext ctx(PlatformSpec::by_name(platform), nprocs, m.backend,
                    /*race_detect=*/false, /*sight_observe=*/observed);
@@ -423,15 +381,8 @@ std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
     ctx.run([&](SimProc& rt) {
       for (int s = 0; s < 2; ++s) step(rt, st, builder, m.direct);
     });
-    Outcome o;
+    Observed o;
     o.log = std::move(log.log);
-    o.stats = ctx.stats();
-    for (int p = 0; p < nprocs; ++p) {
-      o.clocks.push_back(ctx.clock_ns(p));
-      o.mem.push_back(ctx.mem().proc_stats(p));
-      o.interactions.push_back(st.interactions[static_cast<std::size_t>(p)]);
-    }
-    for (const Body& b : st.bodies) o.acc.push_back(b.acc);
     o.handed = ctx.walk_ahead().handed();
     if (observed) {
       const CellResolver cells = cells_of(st);
@@ -440,49 +391,10 @@ std::vector<Outcome> run_modes(const std::string& platform, int n, int nprocs,
       if (m.watch == Watch::kPerElement)
         o.prof = prof::profile_json(prof::build_profile(recorder.capture(), cells, {}));
     }
-    out.push_back(std::move(o));
-  }
-  return out;
-}
-
-std::vector<Outcome> run_algorithm(Algorithm alg, const std::string& platform, int n,
-                                   int nprocs, const std::vector<RunMode>& modes) {
-  switch (alg) {
-    case Algorithm::kOrig:
-      return run_modes<OrigBuilder>(platform, n, nprocs, modes);
-    case Algorithm::kLocal:
-      return run_modes<LocalBuilder>(platform, n, nprocs, modes);
-    case Algorithm::kUpdate:
-      return run_modes<UpdateBuilder>(platform, n, nprocs, modes);
-    case Algorithm::kPartree:
-      return run_modes<PartreeBuilder>(platform, n, nprocs, modes);
-    case Algorithm::kSpace:
-      return run_modes<SpaceBuilder>(platform, n, nprocs, modes);
-    case Algorithm::kRadix:
-      return run_modes<RadixBuilder>(platform, n, nprocs, modes);
-  }
-  PTB_CHECK_MSG(false, "unhandled algorithm");
-  return {};
-}
-
-/// Equal final state: clocks, protocol counters, per-phase statistics,
-/// interaction counts and accelerations, all to the bit.
-void expect_same_state(const Outcome& a, const Outcome& b) {
-  EXPECT_EQ(a.clocks, b.clocks);
-  EXPECT_EQ(a.interactions, b.interactions);
-  ASSERT_EQ(a.mem.size(), b.mem.size());
-  for (std::size_t p = 0; p < a.mem.size(); ++p) {
-    SCOPED_TRACE("proc " + std::to_string(p));
-    EXPECT_TRUE(a.mem[p] == b.mem[p]);
-    EXPECT_EQ(a.stats[p].phase_ns, b.stats[p].phase_ns);
-    EXPECT_EQ(a.stats[p].mem_stall_ns, b.stats[p].mem_stall_ns);
-  }
-  ASSERT_EQ(a.acc.size(), b.acc.size());
-  std::size_t differ = 0;
-  for (std::size_t i = 0; i < a.acc.size(); ++i)
-    if (a.acc[i].x != b.acc[i].x || a.acc[i].y != b.acc[i].y || a.acc[i].z != b.acc[i].z)
-      ++differ;
-  EXPECT_EQ(differ, 0u);
+    seen.push_back(std::move(o));
+    return collect_run_result(ctx, st);
+  };
+  return rerun(alg, n, nprocs, modes.size(), run);
 }
 
 struct ReplayCase {
@@ -495,29 +407,31 @@ class ForceReplayP : public ::testing::TestWithParam<ReplayCase> {};
 
 TEST_P(ForceReplayP, ReplayedChargesMatchTheDirectWalk) {
   const ReplayCase c = GetParam();
-  const auto runs = run_algorithm(c.alg, c.platform, 512, c.nprocs,
-                                  {{/*direct=*/false, Watch::kSpans},
-                                   {/*direct=*/true, Watch::kSpans},
-                                   {/*direct=*/false, Watch::kPerElement},
-                                   {/*direct=*/true, Watch::kPerElement},
-                                   {/*direct=*/false, Watch::kNone},
-                                   {/*direct=*/true, Watch::kNone}});
+  std::vector<Observed> seen;
+  const auto runs = run_modes(c.alg, c.platform, 512, c.nprocs,
+                              {{/*direct=*/false, Watch::kSpans},
+                               {/*direct=*/true, Watch::kSpans},
+                               {/*direct=*/false, Watch::kPerElement},
+                               {/*direct=*/true, Watch::kPerElement},
+                               {/*direct=*/false, Watch::kNone},
+                               {/*direct=*/true, Watch::kNone}},
+                              seen);
   // Observed: each replayed unit reaches the observers in one call, the
   // direct walk's charges one by one. The charge log's stream (the base
   // expansion) must agree event for event, and the reports of the tracer,
   // sight and the profiler (their own overrides) byte for byte; the trace
   // also pins where sight's class changes fall among the memory instants.
   for (std::size_t i : {0u, 2u}) {
-    SCOPED_TRACE(runs[i].prof.empty() ? "spans kept" : "spans decayed");
-    const Outcome& replayed = runs[i];
-    const Outcome& direct = runs[i + 1];
+    SCOPED_TRACE(seen[i].prof.empty() ? "spans kept" : "spans decayed");
+    const Observed& replayed = seen[i];
+    const Observed& direct = seen[i + 1];
     ASSERT_FALSE(direct.log.empty());
     const auto diverge = std::mismatch(replayed.log.begin(), replayed.log.end(),
                                        direct.log.begin(), direct.log.end());
     EXPECT_TRUE(diverge.first == replayed.log.end() && diverge.second == direct.log.end())
         << "charge streams diverge at event " << (diverge.first - replayed.log.begin())
         << " of " << replayed.log.size() << " replayed / " << direct.log.size() << " direct";
-    expect_same_state(replayed, direct);
+    EXPECT_EQ(first_difference(runs[i], runs[i + 1]), "");
     // The replay's force-gather and force-evaluate spans must serialize
     // exactly as the inline loop's.
     EXPECT_NE(direct.trace.find("\"force-evaluate\""), std::string::npos);
@@ -526,15 +440,16 @@ TEST_P(ForceReplayP, ReplayedChargesMatchTheDirectWalk) {
     EXPECT_TRUE(replayed.prof == direct.prof) << "replayed and direct profiles differ";
     EXPECT_GE(replayed.handed, 2u) << "too few chunks replayed with observers attached";
   }
-  EXPECT_FALSE(runs[2].prof.empty());
-  // Unobserved: the flattened replay must land on the same state.
-  expect_same_state(runs[4], runs[5]);
-  expect_same_state(runs[4], runs[0]);
-  expect_same_state(runs[4], runs[2]);
+  EXPECT_FALSE(seen[2].prof.empty());
+  // Unobserved: the flattened replay must land on the same outcome, which
+  // the observed runs must not have moved either.
+  EXPECT_EQ(first_difference(runs[4], runs[5]), "");
+  EXPECT_EQ(first_difference(runs[4], runs[0]), "");
+  EXPECT_EQ(first_difference(runs[4], runs[2]), "");
   // Every replay route must have run for the comparisons above to test it:
   // each of the two force phases replays at least its first chunk,
   // whichever others the helper wins.
-  EXPECT_GE(runs[4].handed, 2u) << "too few chunks replayed by the flattened route";
+  EXPECT_GE(seen[4].handed, 2u) << "too few chunks replayed by the flattened route";
 }
 
 std::vector<ReplayCase> replay_cases() {
@@ -561,8 +476,9 @@ TEST(ForceReplay, ParallelBackendMatchesFibersWithoutObservers) {
     RunMode fibers;
     RunMode parallel;
     parallel.backend = SimBackend::kParallel;
-    const auto runs = run_algorithm(alg, "typhoon0_hlrc", 1024, 16, {fibers, parallel});
-    expect_same_state(runs[0], runs[1]);
+    std::vector<Observed> seen;
+    const auto runs = run_modes(alg, "typhoon0_hlrc", 1024, 16, {fibers, parallel}, seen);
+    EXPECT_EQ(first_difference(runs[0], runs[1]), "");
   }
 }
 

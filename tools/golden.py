@@ -61,9 +61,9 @@ OBSERVER_CONFIGS = {
     "elided": (["--platform", "challenge", "--algorithm", "ORIG", "--n", "512", "--procs",
                 "2", "--warmup", "1", "--steps", "1", "--race", "--elide-locks", "--sight",
                 "--trace"], 2, None),
-    # Counts ptbsim cannot run, names it does not know and a negative
-    # opening angle: each is a usage error (exit 2) before anything is
-    # simulated.
+    # Counts ptbsim cannot run, names it does not know, a negative opening
+    # angle and an argument that is not a flag: each is a usage error
+    # (exit 2) before anything is simulated.
     "zero-steps": (["--n", "1024", "--procs", "4", "--steps", "0", "--csv"], 2, None),
     "negative-warmup": (["--n", "1024", "--procs", "4", "--warmup", "-1", "--steps", "1",
                          "--csv"], 2, None),
@@ -75,6 +75,7 @@ OBSERVER_CONFIGS = {
     "unknown-algorithm": (["--n", "1024", "--algorithm", "bogus"], 2, None),
     "unknown-platform": (["--n", "1024", "--platform", "bogus"], 2, None),
     "negative-theta": (["--n", "1024", "--theta", "-1"], 2, None),
+    "positional-argument": (["foo"], 2, None),
 }
 
 # Every ptbfig entry, in the driver's order. A new entry changes the pinned
